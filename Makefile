@@ -43,10 +43,15 @@
 #                compressed artifact (on-disk bytes, load time, plan
 #                build) + results/BENCH_load.json; fails unless the
 #                artifact is at least 2x smaller than gob
+#   make perfbench-check  the end-to-end benchmark's harness tests, then
+#                a short closed_cnn run that must print "correct":true:
+#                every served class equals the library's class for that
+#                image and rung, an end-to-end bit-identity gate for the
+#                conv lane
 
 GO ?= go
 
-.PHONY: tier1 tier1-noasm tier2 tier3 lint lint-json bench benchcmp autotune-check serve-smoke serve-bench serve-soak budget-bench load-bench
+.PHONY: tier1 tier1-noasm tier2 tier3 lint lint-json bench benchcmp autotune-check serve-smoke serve-bench serve-soak budget-bench load-bench perfbench-check
 
 tier1:
 	$(GO) build ./... && $(GO) test ./...
@@ -113,3 +118,14 @@ budget-bench:
 
 load-bench:
 	$(GO) run ./cmd/trbench -bench-load
+
+# perfbench is a Go module of its own (replace repro => ../), built
+# offline; run.py builds trserve and the benchmark binary under
+# .bench_build/. The binary prints its result as one JSON line last; a
+# wrong served answer prints "correct":false, and a void run prints no
+# result.
+perfbench-check:
+	cd perfbench && GOFLAGS=-mod=mod GOPROXY=off $(GO) test .
+	@mkdir -p .bench_build
+	python3 perfbench/run.py --workload closed_cnn --seed 1 --seconds 4 --trace 0 | tee .bench_build/perfbench-check.out
+	grep -q '"correct":true' .bench_build/perfbench-check.out

@@ -1,11 +1,15 @@
 package intinfer
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/datasets"
+	"repro/internal/kernels"
 	"repro/internal/models"
+	"repro/internal/nn"
 	"repro/internal/qsim"
+	"repro/internal/tensor"
 )
 
 // forceDirect rewrites a plan's steps to the golden fallback paths: conv
@@ -188,6 +192,51 @@ func TestPackedGemmMatchesScalarGemm(t *testing.T) {
 	}
 }
 
+// TestOversizedConvInputStaysUnpacked pins the gather table's index
+// width at plan level: a conv whose input exceeds kernels.MaxGatherSrc
+// keeps the scalar GEMM path (no packed panels, no table) while a
+// smaller conv of the same plan packs, and the plan still matches the
+// direct reference bit for bit.
+func TestOversizedConvInputStaysUnpacked(t *testing.T) {
+	rng := rand.New(rand.NewSource(83))
+	conv := func(label string, inC, h, w, outC int) *nn.Conv2D {
+		return nn.NewConv2D(label, tensor.ConvGeom{InC: inC, InH: h, InW: w,
+			KH: 3, KW: 3, Stride: 2, Pad: 1, OutC: outC}, true, rng)
+	}
+	const side = 256 // 1×256×256 is one element past MaxGatherSrc
+	if side*side <= kernels.MaxGatherSrc {
+		t.Fatalf("%d-element input fits a gather table", side*side)
+	}
+	m := &models.ImageModel{Name: "wide", InC: 1, InH: side, InW: side, Classes: 3,
+		Net: nn.NewSequential("wide",
+			conv("big", 1, side, side, 2), nn.NewReLU("relu1"),
+			conv("small", 2, side/2, side/2, 4), nn.NewReLU("relu2"),
+			nn.NewGlobalAvgPool2D("gap"), nn.NewLinear("fc", 4, 3, rng))}
+	ds := datasets.ImageClasses(6, 3, 1, side, side, 84)
+	fast, direct := buildPair(t, m, Options{Calibration: ds.Images[:4]})
+	seen := 0
+	for i := range fast.steps {
+		st := &fast.steps[i]
+		switch st.name {
+		case "big":
+			seen++
+			if !st.gemmOK || st.pack8 != nil || st.gather != nil {
+				t.Fatalf("oversized conv: gemmOK=%v packed=%v table=%v, want scalar GEMM only",
+					st.gemmOK, st.pack8 != nil, st.gather != nil)
+			}
+		case "small":
+			seen++
+			if st.pack8 == nil || st.gather == nil {
+				t.Fatal("conv within the table's index width was not packed")
+			}
+		}
+	}
+	if seen != 2 {
+		t.Fatalf("found %d of the 2 conv steps", seen)
+	}
+	assertSameLogits(t, fast, direct, ds.Images[4:], "oversized")
+}
+
 // TestExpressLaneMatchesGeneralPath pins the all-linear express lane
 // (float64 codes end to end) against the general integer path.
 func TestExpressLaneMatchesGeneralPath(t *testing.T) {
@@ -210,7 +259,7 @@ func TestExpressLaneMatchesGeneralPath(t *testing.T) {
 
 // TestClassifySteadyStateAllocs pins the zero-allocation contract: after
 // arena warmup, Classify must not touch the heap — for the express MLP
-// lane and for the conv (im2col+GEMM) pipeline alike.
+// lane and for the packed conv (gather + GEMM) pipeline alike.
 func TestClassifySteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool fakes misses under the race detector")
@@ -239,6 +288,9 @@ func TestClassifySteadyStateAllocs(t *testing.T) {
 	cplan, err := Build(cm, Options{Calibration: ds.Images, IntraWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if countPack8(cplan.steps) == 0 {
+		t.Fatal("conv plan has no packed (gather) step")
 	}
 	if _, err := cplan.Classify(ds.Images[0]); err != nil {
 		t.Fatal(err)

@@ -25,9 +25,11 @@ type activation struct {
 
 // scratch is the per-worker arena a Plan's inference loop runs out of:
 // a free list of equally sized activation buffers, the im2col patch
-// buffer, and the logits buffer. One scratch serves one in-flight Infer;
-// Plan recycles them through a sync.Pool so steady-state inference
-// performs no heap allocations after warmup.
+// buffer, the packed-GEMM operands (the gather stage, which holds a
+// packed conv's input as offset-u8 bytes, and the B panels), and the
+// logits buffer. One scratch serves one in-flight Infer; Plan recycles
+// them through a sync.Pool so steady-state inference performs no heap
+// allocations after warmup.
 //
 // Buffer discipline inside exec: in-place steps (ReLU, flatten) return
 // their input buffer; every other step gets an output buffer from the
@@ -42,8 +44,8 @@ type scratch struct {
 	all     [][]int32 // every arena-owned buffer, the reset source
 	bufCap  int
 	im2col  []int32
-	colU8   []uint8   // offset-u8 patch matrix (packed int8 GEMM path)
-	bpack   []uint8   // PackB panel buffer (packed int8 GEMM path)
+	stage   *kernels.GatherStage
+	bpack   []uint8   // packed B panels (packed int8 GEMM path)
 	xf, yf  []float64 // ping-pong float64 code buffers (GemvF64 path)
 	bx, by  []uint8   // ping-pong offset-u8 matrices (packed linear lane)
 	lin32   []int32   // code matrix of the current packed-linear layer
@@ -58,9 +60,11 @@ func (p *Plan) newScratch() *scratch {
 	s := &scratch{free: make([][]int32, p.bufCount), bufCap: p.maxAct,
 		im2col: make([]int32, p.maxCol), xf: make([]float64, p.maxLin),
 		yf: make([]float64, p.maxLin), logits: make([]float32, p.classes),
-		colU8: make([]uint8, p.maxColU8), bpack: make([]uint8, p.maxPackB),
-		bx: make([]uint8, p.lin8Buf), by: make([]uint8, p.lin8Buf),
-		lin32: make([]int32, p.lin8Buf)}
+		bpack: make([]uint8, p.maxPackB), lin32: make([]int32, p.lin8Buf),
+		bx: make([]uint8, p.lin8Buf), by: make([]uint8, p.lin8Buf)}
+	if p.staged {
+		s.stage = new(kernels.GatherStage)
+	}
 	for i := range s.free {
 		s.free[i] = make([]int32, p.maxAct)
 	}
@@ -553,27 +557,25 @@ func gemmChunk(wg *sync.WaitGroup, stop *atomic.Bool, dst, a, b, bias []int32, m
 	kernels.Gemm(dst, a, b, bias, m, n, k)
 }
 
-// gemm8 runs the packed int8 GEMM with the fused requant over the k×n
-// offset-u8 matrix u8: PackBBlocked lays the panels out with the
-// step's autotuned (NR, KC) traversal, then the 4-row output panels
-// split across workers in whole MR-row blocks, like gemm splits rows.
-// Panels map to disjoint dst rows, so workers need no synchronization
-// beyond the scratch-owned WaitGroup. The single-threaded path goes
-// through Gemm8Tuned, so the executed loop is exactly the shape the
-// autotuner timed.
-func (p *Plan) gemm8(s *scratch, dst []int32, pa *kernels.PackedA, u8 []uint8,
-	n int, t kernels.Tile, mult float64, lo, hi int32) {
-	pb := s.bpack[:kernels.PackBSize(pa.K, n)]
+// gemm8 is the packed-GEMM row driver shared by conv steps and the
+// packed linear lane: over an already-packed B (pb, k×n), the 4-row
+// output panels run with the requant fused, in MR-row blocks, and split
+// across workers in whole MR blocks when the layer is large enough to
+// amortize the fan-out, like gemm splits rows. Panels map to disjoint
+// dst rows, so workers need no synchronization beyond the
+// scratch-owned WaitGroup. The single-threaded path is
+// kernels.Gemm8Blocks, the loop the autotuner times.
+func (p *Plan) gemm8(s *scratch, dst []int32, pa *kernels.PackedA, pb []uint8,
+	n, mr int, mult float64, lo, hi int32) {
 	workers := s.workers
 	if workers > pa.MP {
 		workers = pa.MP // at least one 4-row panel per worker
 	}
 	if workers <= 1 || pa.M*n*pa.K < intraMinWork {
-		kernels.Gemm8Tuned(dst, pa, u8, pb, n, t, mult, lo, hi)
+		kernels.Gemm8Blocks(dst, pa, pb, n, mr, mult, lo, hi)
 		return
 	}
-	kernels.PackBBlocked(pb, u8, pa.K, n, t.NR, t.KC)
-	mrp := kernels.RowPanels(t.MR, pa.MP)
+	mrp := kernels.RowPanels(mr, pa.MP)
 	chunk := (pa.MP + workers - 1) / workers
 	chunk = (chunk + mrp - 1) / mrp * mrp // whole MR blocks per worker
 	for p0 := 0; p0 < pa.MP; p0 += chunk {
@@ -661,11 +663,13 @@ func gemvF64Chunk(wg *sync.WaitGroup, stop *atomic.Bool, dst, a, x, bias []float
 	kernels.GemvF64(dst, a, x, bias, r0, r1, k, mult, lo, hi)
 }
 
-// execConv lowers the convolution to im2col + per-group GEMM when the
+// execConv lowers the convolution to a per-group GEMM when the
 // build-time overflow check admitted the int32 accumulator (st.gemmOK);
 // otherwise it falls back to the direct 7-deep loop with 64-bit
-// accumulation. 1×1 stride-1 unpadded convolutions skip im2col entirely
-// — the input layout already is the patch matrix.
+// accumulation. A packed step gathers its B panels straight from the
+// input; the scalar GEMM path builds an int32 im2col matrix, which 1×1
+// stride-1 unpadded convolutions skip — their input layout already is
+// the patch matrix.
 func (p *Plan) execConv(st step, in activation, s *scratch) (activation, error) {
 	g := st.geom
 	if in.c != g.inC || in.h != g.inH || in.w != g.inW {
@@ -684,28 +688,22 @@ func (p *Plan) execConv(st step, in activation, s *scratch) (activation, error) 
 		s.put(in.data)
 		return out, nil
 	}
-	pointwise := g.kh == 1 && g.kw == 1 && g.stride == 1 && g.pad == 0
 	if st.pack8 != nil {
-		// Packed int8 SIMD path: the patch matrix is built directly in
-		// the offset-u8 domain, laid out into microkernel panels, and the
-		// requantization runs fused inside the kernel's register tile —
-		// out.data receives final codes with no int32 round-trip pass.
+		// Packed int8 SIMD path: one gather pass writes the group's
+		// microkernel panels from its input slice, and the requantization
+		// runs fused inside the kernel's register tile — out.data
+		// receives final codes with no int32 round-trip pass.
+		pb := s.bpack[:st.gather.Len()]
 		for grp := 0; grp < g.groups; grp++ {
-			b := in.data[grp*cPerG*g.inH*g.inW:][:cPerG*g.inH*g.inW]
-			u8 := s.colU8[:kk*n]
-			if pointwise {
-				kernels.OffsetU8(u8, b)
-			} else {
-				kernels.Im2colU8(u8, b, cPerG, g.inH, g.inW, g.kh, g.kw,
-					g.stride, g.pad, g.outH, g.outW)
-			}
+			st.gather.Pack(pb, in.data[grp*cPerG*g.inH*g.inW:][:cPerG*g.inH*g.inW], s.stage)
 			p.pm.dispatchGemm8.Inc()
-			p.gemm8(s, out.data[grp*oPerG*n:][:oPerG*n], st.pack8[grp], u8,
-				n, st.tile, st.mult, st.lo, st.hi)
+			p.gemm8(s, out.data[grp*oPerG*n:][:oPerG*n], st.pack8[grp], pb,
+				n, st.tile.MR, st.mult, st.lo, st.hi)
 		}
 		s.put(in.data)
 		return out, nil
 	}
+	pointwise := g.kh == 1 && g.kw == 1 && g.stride == 1 && g.pad == 0
 	for grp := 0; grp < g.groups; grp++ {
 		b := in.data[grp*cPerG*g.inH*g.inW:][:cPerG*g.inH*g.inW]
 		if !pointwise {

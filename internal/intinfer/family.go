@@ -13,9 +13,10 @@ import (
 // same model calibrated once and revealed at several TR group budgets.
 // Rungs whose revealed codes coincide (a high budget that never
 // truncates a group, say) alias the same weight, bias and packed-panel
-// storage, and every rung draws scratch from a single pool whose
-// geometry is the family max — so adding budgets costs only the requant
-// tables that actually differ, not another full copy of the network.
+// storage, every rung uses one gather table per conv geometry, and
+// every rung draws scratch from a single pool whose geometry is the
+// family max — so adding budgets costs only the requant tables that
+// actually differ, not another full copy of the network.
 //
 // Each rung is bit-identical to the plan Build would produce for that
 // budget alone: BuildFamily runs the same calibration pass once and
@@ -58,10 +59,11 @@ func BuildFamily(m *models.ImageModel, opts Options) (*Family, error) {
 		return nil, err
 	}
 	f := &Family{budgets: budgets, plans: make([]*Plan, len(budgets))}
+	gathers := gatherCache{} // geometry-only, so one table serves every rung
 	for i, b := range budgets {
 		o := opts
 		o.GroupBudget = b
-		p, err := buildCalibrated(m, o, scales, outScale)
+		p, err := buildCalibrated(m, o, scales, outScale, gathers)
 		if err != nil {
 			return nil, fmt.Errorf("intinfer: budget %d: %w", b, err)
 		}
@@ -90,7 +92,7 @@ func (f *Family) share() {
 	for _, p := range f.plans[:len(f.plans)-1] {
 		top.maxAct = max(top.maxAct, p.maxAct)
 		top.maxCol = max(top.maxCol, p.maxCol)
-		top.maxColU8 = max(top.maxColU8, p.maxColU8)
+		top.staged = top.staged || p.staged
 		top.maxPackB = max(top.maxPackB, p.maxPackB)
 		top.maxLin = max(top.maxLin, p.maxLin)
 		top.lin8Buf = max(top.lin8Buf, p.lin8Buf)
@@ -100,7 +102,7 @@ func (f *Family) share() {
 	for _, p := range f.plans {
 		p.maxAct = top.maxAct
 		p.maxCol = top.maxCol
-		p.maxColU8 = top.maxColU8
+		p.staged = top.staged
 		p.maxPackB = top.maxPackB
 		p.maxLin = top.maxLin
 		p.lin8Buf = top.lin8Buf

@@ -3,6 +3,11 @@ package intinfer
 import (
 	"context"
 	"testing"
+
+	"repro/internal/datasets"
+	"repro/internal/kernels"
+	"repro/internal/models"
+	"repro/internal/qsim"
 )
 
 func TestBuildFamilyRejectsBadOptions(t *testing.T) {
@@ -110,6 +115,57 @@ func TestFamilySharesStorage(t *testing.T) {
 	}
 	if lo.bufCount != hi.bufCount || lo.maxAct != hi.maxAct || lo.maxLin != hi.maxLin {
 		t.Error("arena geometry not unified across rungs")
+	}
+}
+
+// convSteps lists a chain's conv steps in execution order, residual
+// branches included.
+func convSteps(steps []step) []*step {
+	var out []*step
+	for i := range steps {
+		st := &steps[i]
+		switch st.kind {
+		case kindConv:
+			out = append(out, st)
+		case kindResidual:
+			out = append(out, convSteps(st.body)...)
+			out = append(out, convSteps(st.proj)...)
+		}
+	}
+	return out
+}
+
+// TestFamilySharesGatherTables: a gather table depends only on conv
+// geometry, so every rung of a CNN family points each packed conv at
+// the same table, and equal geometries within a rung share one too.
+func TestFamilySharesGatherTables(t *testing.T) {
+	g := models.CNNGeom{InC: 3, InH: 8, InW: 8, Classes: 4}
+	m := models.NewResNetStyle(g, 71)
+	qsim.FoldBatchNorm(m)
+	ds := datasets.ImageClasses(16, g.Classes, g.InC, g.InH, g.InW, 72)
+	f, err := BuildFamily(m, Options{Calibration: ds.Images, GroupSize: 8,
+		Budgets: []int{4, 8, 12}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := convSteps(f.plans[0].steps)
+	tables := make(map[*kernels.ConvGather]bool)
+	for _, st := range base {
+		if st.pack8 == nil || st.gather == nil {
+			t.Fatalf("conv %s not packed", st.name)
+		}
+		tables[st.gather] = true
+	}
+	if len(tables) >= len(base) {
+		t.Errorf("%d convs hold %d tables; equal geometries must share one", len(base), len(tables))
+	}
+	for _, p := range f.plans[1:] {
+		for i, st := range convSteps(p.steps) {
+			if st.gather != base[i].gather {
+				t.Errorf("budget %d conv %s: gather table not shared with budget %d",
+					p.groupBudget, st.name, f.plans[0].groupBudget)
+			}
+		}
 	}
 }
 

@@ -109,8 +109,13 @@ type step struct {
 	wf64, bf64 []float64
 	// pack8[g] is group g's weight matrix in packed panel form for the
 	// int8 SIMD GEMM, built once at compile time; nil when the conv was
-	// not admitted (kernels.AccumFitsU8).
+	// not admitted (kernels.AccumFitsU8, or an input too large for a
+	// gather table).
 	pack8 []*kernels.PackedA
+	// gather packs a packed conv's B panels straight from one group's
+	// input slice (im2col + PackB compiled into one table). It depends
+	// only on geometry, so steps and Family rungs share one per geometry.
+	gather *kernels.ConvGather
 	// pack8lin is the linear analogue: the weight matrix in packed
 	// panel form when kernels.AccumFitsU8 admits it. Batched inference
 	// runs B images through it as one M×B×K GEMM (the n=1 objection to
@@ -157,8 +162,8 @@ type Plan struct {
 	// Arena geometry, fixed by finalize at build time.
 	maxAct       int  // largest activation (elements) any step produces
 	maxCol       int  // largest per-group im2col patch matrix (elements)
-	maxColU8     int  // largest offset-u8 patch matrix (bytes, packed path)
-	maxPackB     int  // largest PackB panel buffer (bytes, packed path)
+	maxPackB     int  // largest packed B panel buffer (bytes, packed path)
+	staged       bool // some conv gathers its B (scratch carries a GatherStage)
 	maxLin       int  // widest buffer a float64-path linear step touches
 	lin8Buf      int  // offset-u8/code matrix capacity of the packed linear lane
 	express      bool // whole plan is flatten + float64-path linears
@@ -212,17 +217,19 @@ func Build(m *models.ImageModel, opts Options) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return buildCalibrated(m, opts, scales, outScale)
+	return buildCalibrated(m, opts, scales, outScale, gatherCache{})
 }
 
 // buildCalibrated compiles the model against pre-computed calibration
 // scales. Build runs the calibration pass itself; BuildFamily runs it
 // once and compiles every budget rung through here, so the rungs are
-// bit-identical to single-budget builds by construction.
-func buildCalibrated(m *models.ImageModel, opts Options, scales map[string]float32, outScale float32) (*Plan, error) {
+// bit-identical to single-budget builds by construction. gathers is
+// shared by every rung of a Family, so the rungs share gather tables.
+func buildCalibrated(m *models.ImageModel, opts Options, scales map[string]float32, outScale float32,
+	gathers gatherCache) (*Plan, error) {
 	p := &Plan{inC: m.InC, inH: m.InH, inW: m.InW, classes: m.Classes,
 		outScale: outScale, groupBudget: opts.GroupBudget}
-	c := &compiler{opts: opts, scales: scales}
+	c := &compiler{opts: opts, scales: scales, gathers: gathers}
 	var flat []nn.Layer
 	if err := flattenChain(m.Net, &flat); err != nil {
 		return nil, err
@@ -321,7 +328,8 @@ func batchable(steps []step) bool {
 
 // tuneSteps asks the autotuner for a tile per packed step, keyed by the
 // geometry the kernel will actually run: per-group dimensions for
-// convs, the micro-batch column count for batch-lane linears. Tile
+// convs (whose B the gather packs, so only MR is tuned), the
+// micro-batch column count for batch-lane linears. Tile
 // choice never affects results (kernels.Tile), so a plan built with a
 // cold cache and one built with a warm cache are bit-identical — the
 // warm build just skips the measurement.
@@ -332,7 +340,7 @@ func (p *Plan) tuneSteps(steps []step) {
 		case st.kind == kindConv && st.pack8 != nil:
 			g := st.geom
 			st.tile = autotune.Pick(autotune.Geometry{M: g.outC / g.groups,
-				K: (g.inC / g.groups) * g.kh * g.kw, N: g.outH * g.outW})
+				K: (g.inC / g.groups) * g.kh * g.kw, N: g.outH * g.outW, Conv: true})
 		case st.kind == kindLinear && st.pack8lin != nil:
 			n := 1
 			if p.linear8 {
@@ -467,12 +475,10 @@ func (p *Plan) sizeChain(steps []step, c, h, w int) (int, int, int) {
 			pointwise := g.kh == 1 && g.kw == 1 && g.stride == 1 && g.pad == 0
 			switch {
 			case st.pack8 != nil:
-				// Packed path: offset-u8 patch matrix + PackB panels; the
-				// int32 im2col buffer is never touched by this step.
-				if u8 := kk * n; u8 > p.maxColU8 {
-					p.maxColU8 = u8
-				}
-				if pb := kernels.PackBSize(kk, n); pb > p.maxPackB {
+				// Packed path: the gather writes B panels through the
+				// stage; the int32 im2col buffer is never touched.
+				p.staged = true
+				if pb := st.gather.Len(); pb > p.maxPackB {
 					p.maxPackB = pb
 				}
 			case st.gemmOK && !pointwise:
@@ -528,11 +534,32 @@ func chainBufs(steps []step, held int) int {
 	return peak
 }
 
-// compiler threads the calibration scales through the recursive chain
-// compilation.
+// compiler threads the calibration scales and the gather-table cache
+// through the recursive chain compilation.
 type compiler struct {
-	opts   Options
-	scales map[string]float32
+	opts    Options
+	scales  map[string]float32
+	gathers gatherCache
+}
+
+// gatherCache hands out one gather table per conv input geometry: a
+// build shares it across steps, and BuildFamily across rungs, so equal
+// geometries alias one table.
+type gatherCache map[convGeom]*kernels.ConvGather
+
+// get returns the table for a conv's per-group input, building it on
+// first use; nil when the input is too large for a table.
+func (gc gatherCache) get(g *convGeom) *kernels.ConvGather {
+	// The output channel count and the group split do not shape the
+	// table, only the per-group input slice does.
+	k := convGeom{inC: g.inC / g.groups, inH: g.inH, inW: g.inW, kh: g.kh, kw: g.kw,
+		stride: g.stride, pad: g.pad, groups: 1, outH: g.outH, outW: g.outW}
+	t, ok := gc[k]
+	if !ok {
+		t = kernels.NewConvGather(k.inC, k.inH, k.inW, k.kh, k.kw, k.stride, k.pad, k.outH, k.outW)
+		gc[k] = t
+	}
+	return t
 }
 
 // flattenChain expands nested sequentials into a flat op list, keeping
@@ -611,7 +638,7 @@ func (c *compiler) compileChain(chain []nn.Layer, inScale, outScale float32) ([]
 			if err != nil {
 				return nil, err
 			}
-			st, err := compileConv(v, c.opts, sx, sy)
+			st, err := compileConv(v, c.opts, sx, sy, c.gathers)
 			if err != nil {
 				return nil, err
 			}
@@ -782,7 +809,7 @@ func admitGemm(weights, bias []int32, k int) bool {
 	return kernels.AccumFits(k, maxAbs32(weights), 127, maxAbs32(bias))
 }
 
-func compileConv(v *nn.Conv2D, opts Options, sx, sy float32) (step, error) {
+func compileConv(v *nn.Conv2D, opts Options, sx, sy float32, gathers gatherCache) (step, error) {
 	g := v.Geom
 	kk := (g.InC / g.Groups) * g.KH * g.KW
 	codes, sw := quantizeWeightRows(v.Weight.W.Data, g.OutC, kk,
@@ -802,17 +829,19 @@ func compileConv(v *nn.Conv2D, opts Options, sx, sy float32) (step, error) {
 	}
 	st.gemmOK = admitGemm(st.weights, st.bias, kk)
 	if st.gemmOK {
-		packConvWeights(&st, kk)
+		packConvWeights(&st, kk, gathers)
 	}
 	return st, nil
 }
 
 // packConvWeights builds the packed-panel form of an admitted conv's
-// weights, one PackedA per group. Admission (kernels.AccumFitsU8)
-// depends on each group's compensated-bias magnitude, which only the
-// pack itself computes, so packing is speculative: if any group fails
-// the bound, pack8 stays nil and the step keeps the scalar GEMM path.
-func packConvWeights(st *step, kk int) {
+// weights, one PackedA per group, and attaches its gather table.
+// Admission (kernels.AccumFitsU8) depends on each group's
+// compensated-bias magnitude, which only the pack itself computes, so
+// packing is speculative: if any group fails the bound, or the input is
+// too large for a gather table, pack8 stays nil and the step keeps the
+// scalar GEMM path.
+func packConvWeights(st *step, kk int, gathers gatherCache) {
 	g := st.geom
 	oPerG := g.outC / g.groups
 	wmax := maxAbs32(st.weights)
@@ -825,7 +854,9 @@ func packConvWeights(st *step, kk int) {
 		}
 		packs[grp] = pa
 	}
-	st.pack8 = packs
+	if st.gather = gathers.get(g); st.gather != nil {
+		st.pack8 = packs
+	}
 }
 
 func compileLinear(v *nn.Linear, opts Options, sx, sy float32) (step, error) {

@@ -201,7 +201,7 @@ func (p *Plan) linear8Chunk(images [][]float32, preds []int, s *scratch) error {
 			}
 			kernels.Gemv8Rows(y, pa, xu, 0, pa.MP, st.mult, st.lo, st.hi)
 		} else {
-			p.gemm8(s, y, pa, cur[:st.cols*b], b, st.tile, st.mult, st.lo, st.hi)
+			p.gemm8Batch(s, y, pa, cur[:st.cols*b], b, st.tile, st.mult, st.lo, st.hi)
 		}
 		// Re-offset the fresh codes for the next layer's B operand. The
 		// final layer's pass is cheap (classes × b bytes) and keeps the
@@ -225,4 +225,17 @@ func (p *Plan) linear8Chunk(images [][]float32, preds []int, s *scratch) error {
 		preds[j] = best
 	}
 	return nil
+}
+
+// gemm8Batch runs one batched layer: PackBBlocked lays the k×b
+// offset-u8 matrix u8 out as panels with the step's (NR, KC) traversal,
+// then the row driver shared with conv steps computes them in MR-row
+// blocks. It stays out of line: with the pack inlined, linear8Chunk's
+// input-quantizer loop compiled slower (BenchmarkIntegerInferenceMLP
+// 3–8% slower over interleaved runs on a 2-vCPU AVX2 Xeon).
+func (p *Plan) gemm8Batch(s *scratch, dst []int32, pa *kernels.PackedA, u8 []uint8,
+	b int, t kernels.Tile, mult float64, lo, hi int32) {
+	pb := s.bpack[:kernels.PackBSize(pa.K, b)]
+	kernels.PackBBlocked(pb, u8, pa.K, b, t.NR, t.KC)
+	p.gemm8(s, dst, pa, pb, b, t.MR, mult, lo, hi)
 }

@@ -223,7 +223,8 @@ func TestLinear8BadImageIndex(t *testing.T) {
 // TestAutotuneWarmCacheDeterminism is the CI determinism check: two
 // cold plan builds against the same warm cache must land the same tile
 // picks and the same predictions, with the second build spending zero
-// microbenchmark time.
+// microbenchmark time — for the batched MLP lane and for conv steps,
+// whose picks are keyed apart and tune MR alone.
 func TestAutotuneWarmCacheDeterminism(t *testing.T) {
 	t.Setenv("TRQ_AUTOTUNE_CACHE", filepath.Join(t.TempDir(), "autotune.json"))
 	t.Setenv("TRQ_AUTOTUNE", "")
@@ -270,6 +271,33 @@ func TestAutotuneWarmCacheDeterminism(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("image %d: cold-build plan %d, warm-build plan %d", i, a[i], b[i])
+		}
+	}
+
+	g := models.CNNGeom{InC: 3, InH: 8, InW: 8, Classes: 4}
+	cm := models.NewResNetStyle(g, 43)
+	qsim.FoldBatchNorm(cm)
+	cal := datasets.ImageClasses(16, g.Classes, g.InC, g.InH, g.InW, 44).Images
+	cnn := func() []*step {
+		plan, err := Build(cm, Options{Calibration: cal})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return convSteps(plan.steps)
+	}
+	cold := cnn()
+	autotune.Reset()
+	warmNs = measureNs.Value()
+	warm := cnn()
+	if got := measureNs.Value(); got != warmNs {
+		t.Errorf("warm-cache CNN build spent %d ns measuring, want 0", got-warmNs)
+	}
+	for i, st := range cold {
+		if st.tile != warm[i].tile {
+			t.Errorf("conv %s: cold pick %v, warm pick %v", st.name, st.tile, warm[i].tile)
+		}
+		if st.tile.NR != 0 || st.tile.KC != 0 {
+			t.Errorf("conv %s: pick %v tunes packing knobs", st.name, st.tile)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package intinfer
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -66,6 +67,13 @@ func TestErrorPathRecyclesScratch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+
+	// testing.AllocsPerRun pins GOMAXPROCS to 1, so pin it before the
+	// warm-up too: a scratch the warm-up put into another P's private
+	// pool slot is unreachable once only P0 runs, and the next Get would
+	// read as a pool miss even though the error path recycled it.
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 
 	var stop atomic.Bool
 	stop.Store(true) // every classify fails mid-chain with errStopped

@@ -1,8 +1,8 @@
 // Package autotune turns the packed-GEMM tile geometry into a measured
 // decision. At plan build, Pick microbenchmarks a small candidate set
-// of (MR, NR, KC) tiles on a synthetic problem of the layer's exact
-// geometry and returns the fastest — any tile is bit-identical (see
-// kernels.Tile), so timing is the only axis. The winner is memoized in
+// of (MR, NR, KC) tiles (MR alone for convs) on a synthetic problem of
+// the layer's exact geometry and returns the fastest — any tile is
+// bit-identical (see kernels.Tile), so timing is the only axis. The winner is memoized in
 // process and persisted to a small JSON cache on disk keyed by
 // (kernels.Features(), geometry) and versioned by kernels.TuneVersion,
 // so repeat plan builds — including trserve cold starts — pay a map
@@ -37,14 +37,21 @@ import (
 // against a K×N activation matrix. N is the batch/spatial width the
 // plan will actually run (outH·outW for convs, the micro-batch column
 // count for linears).
+//
+// Conv marks a conv step, whose B arrives already packed by its gather
+// table: only MR is tuned, timed on the row driver alone, and the pick
+// is keyed apart from a linear of the same M×K×N, whose timed loop also
+// packs B.
 type Geometry struct {
 	M, K, N int
+	Conv    bool
 }
 
 // candidates is the tile set Pick measures, ordered cheapest-to-try
 // first; the unblocked tile leads so a tie preserves the pre-tuning
-// behaviour. Candidates that normalize to the same legal tile for a
-// given geometry are measured once.
+// behaviour. A conv geometry keeps only each candidate's MR. Candidates
+// that normalize to the same legal tile for a given geometry are
+// measured once.
 var candidates = []kernels.Tile{
 	{}, // unblocked: whole-matrix traversals
 	{MR: 8},
@@ -135,15 +142,21 @@ func key(g Geometry) string {
 	if len(fs) > 0 {
 		tier = strings.Join(fs, "+")
 	}
-	return fmt.Sprintf("%s|m%d.k%d.n%d", tier, g.M, g.K, g.N)
+	lane := ""
+	if g.Conv {
+		lane = "conv."
+	}
+	return fmt.Sprintf("%s|%sm%d.k%d.n%d", tier, lane, g.M, g.K, g.N)
 }
 
 // measure times every distinct normalized candidate on a synthetic
-// problem of geometry g and returns the fastest tile. The inputs are
-// deterministic (no RNG, no time dependence) but the timings of course
-// are not — which is fine, because every candidate computes bit-identical
-// results and the pick is persisted, so a process with a warm cache is
-// fully deterministic.
+// problem of geometry g and returns the fastest tile. A conv geometry
+// times Gemm8Blocks over a B packed once up front, across the
+// candidates' MR values; a linear geometry times Gemm8Tuned, packing
+// included. The inputs are deterministic (no RNG, no time dependence)
+// but the timings of course are not — which is fine, because every
+// candidate computes bit-identical results and the pick is persisted,
+// so a process with a warm cache is fully deterministic.
 func measure(g Geometry) kernels.Tile {
 	start := time.Now()
 	defer func() { measureNs.Add(time.Since(start).Nanoseconds()) }()
@@ -162,23 +175,34 @@ func measure(g Geometry) kernels.Tile {
 		u8[i] = uint8(1 + i*89%255)
 	}
 	pb := make([]uint8, kernels.PackBSize(g.K, g.N))
+	kernels.PackB(pb, u8, g.K, g.N)
 	dst := make([]int32, g.M*g.N)
 	const mult = 1.0 / 512
+	run := func(t kernels.Tile) {
+		if g.Conv {
+			kernels.Gemm8Blocks(dst, pa, pb, g.N, t.MR, mult, -127, 127)
+		} else {
+			kernels.Gemm8Tuned(dst, pa, u8, pb, g.N, t, mult, -127, 127)
+		}
+	}
 
 	best := kernels.Tile{}
 	bestNs := int64(-1)
 	seen := make(map[kernels.Tile]bool, len(candidates))
 	for _, cand := range candidates {
+		if g.Conv {
+			cand = kernels.Tile{MR: cand.MR}
+		}
 		t := cand.Normalize(g.M, g.N, g.K)
 		if seen[t] {
 			continue
 		}
 		seen[t] = true
-		kernels.Gemm8Tuned(dst, pa, u8, pb, g.N, t, mult, -127, 127) // warmup
+		run(t) // warmup
 		ns := int64(-1)
 		for rep := 0; rep < measureReps; rep++ {
 			t0 := time.Now()
-			kernels.Gemm8Tuned(dst, pa, u8, pb, g.N, t, mult, -127, 127)
+			run(t)
 			if d := time.Since(t0).Nanoseconds(); ns < 0 || d < ns {
 				ns = d
 			}

@@ -180,3 +180,41 @@ func TestSaveMergesForeignEntries(t *testing.T) {
 		t.Fatalf("cache has %d entries, want 2", len(c.Tiles))
 	}
 }
+
+// TestConvPicksKeyedApart: a conv geometry is timed on a different loop
+// (row driver over a packed B) than a linear of the same M×K×N, so the
+// two picks are cached under separate keys, and a conv pick tunes MR
+// alone — its packing knobs stay unblocked.
+func TestConvPicksKeyedApart(t *testing.T) {
+	path := withCache(t)
+	reg := obs.New()
+	SetObs(reg)
+	defer SetObs(nil)
+	measuredC := reg.Counter("trq_kernels_autotune_total", "outcome", "measured")
+
+	lin := Geometry{M: 64, K: 144, N: 64}
+	conv := lin
+	conv.Conv = true
+	if key(lin) == key(conv) {
+		t.Fatalf("conv and linear share cache key %q", key(conv))
+	}
+	Pick(lin)
+	ct := Pick(conv)
+	if measuredC.Value() != 2 {
+		t.Fatalf("measured %d geometries, want 2 (conv must not reuse the linear pick)", measuredC.Value())
+	}
+	if ct.NR != 0 || ct.KC != 0 {
+		t.Fatalf("conv pick %v tunes packing knobs a conv never runs", ct)
+	}
+	var c cacheData
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, &c); err != nil {
+		t.Fatal(err)
+	}
+	if len(c.Tiles) != 2 {
+		t.Fatalf("cache holds %d entries, want 2", len(c.Tiles))
+	}
+}

@@ -5,10 +5,12 @@ import "math"
 // Packed int8 GEMM path. The scalar Gemm keeps weights and im2col
 // patches as int32 slices and leaves requantization to the caller; the
 // packed path instead repacks each weight matrix once at plan-build
-// time into microkernel-shaped panels, carries the patch matrix as
+// time into microkernel-shaped panels, carries the activations as
 // offset-u8 bytes, and fuses the requantization epilogue into the
 // 4×16 register tile, so per-image work is one pass over int8-range
-// data with no int32 round-trip buffer.
+// data with no int32 round-trip buffer. A conv never materializes its
+// patch matrix: a gather table compiled at plan build (ConvGather)
+// writes the B panels straight from the input activation.
 //
 // Layouts (MR = 4 output rows, NR = 16 output columns, KU = 2 taps):
 //
@@ -19,7 +21,8 @@ import "math"
 //	int16 storage is what VPMADDWD multiplies directly. Rows past m
 //	and taps past k pad with zero.
 //
-//	B (activations, packed per image by PackB): column panels of 16.
+//	B (activations, packed per image by PackB, or ConvGather.Pack for
+//	a conv's patch matrix): column panels of 16.
 //	Panel c holds columns 16c..16c+15 as KQ groups of 32 bytes
 //	[c0k0 c0k1 c1k0 c1k1 … c15k0 c15k1] — one VPMOVZXBW pair-load per
 //	8 columns. Entries are offset-u8 codes (x+128 ∈ [1,255], the
@@ -186,58 +189,108 @@ func packBPanelTaps(dst, src []uint8, k, n, cp, q0, q1 int) {
 	}
 }
 
-// Im2colU8 is Im2col in the offset-u8 domain: dst receives the
-// (c·kh·kw)×(outH·outW) patch matrix as x+128 bytes, with padding taps
-// written as 128 (the offset image of zero). Activation codes are
-// clamped to [-127, 127] by every producer, so the offset stays in
-// [1, 255].
-func Im2colU8(dst []uint8, src []int32, c, h, w, kh, kw, stride, pad, outH, outW int) {
-	n := outH * outW
-	for ci := 0; ci < c; ci++ {
-		plane := src[ci*h*w:][:h*w]
-		for ky := 0; ky < kh; ky++ {
-			for kx := 0; kx < kw; kx++ {
-				drow := dst[((ci*kh+ky)*kw+kx)*n:][:n]
-				im2colRowU8(drow, plane, h, w, ky, kx, stride, pad, outH, outW)
-			}
-		}
-	}
+// gatherSlots is the GatherStage size: a uint16 table entry can name
+// any of its slots, so the gather loop needs no bounds check.
+const gatherSlots = 1 << 16
+
+// GatherStage is the staging buffer ConvGather.Pack reads through: the
+// conv input in the offset-u8 domain followed by one 128 byte (the
+// offset image of zero) that every padding entry of the table names.
+type GatherStage [gatherSlots]uint8
+
+// MaxGatherSrc is the largest conv input, in elements, a gather table
+// can index; one stage slot past it is kept for the 128 sentinel.
+const MaxGatherSrc = gatherSlots - 1
+
+// ConvGather is one conv geometry's im2col + PackB compiled into a
+// gather table. Entry i names the input element whose offset-u8 code
+// lands at byte i of the packed B panels of the (c·kh·kw)×(outH·outW)
+// patch matrix; padded border taps, the odd-k pad tap and pad columns
+// name the sentinel slot just past the input. The table depends only on
+// geometry, so plans share one per geometry. It costs two bytes per
+// packed byte (PackBSize(c·kh·kw, outH·outW) entries) and indexes
+// inputs of at most MaxGatherSrc elements.
+type ConvGather struct {
+	idx []uint16
+	src int // input elements; also the sentinel slot's index
 }
 
-// im2colRowU8 fills one patch row (fixed channel and kernel tap) with
-// offset-u8 codes, writing 128 only on the padded border — the same
-// border arithmetic as im2colRow.
-func im2colRowU8(drow []uint8, plane []int32, h, w, ky, kx, stride, pad, outH, outW int) {
-	idx := 0
-	for oy := 0; oy < outH; oy++ {
-		iy := oy*stride + ky - pad
-		if iy < 0 || iy >= h {
-			fill128(drow[idx : idx+outW])
-			idx += outW
+// NewConvGather compiles the gather table for a c×h×w input convolved
+// with a kh×kw kernel at the given stride and zero padding. It returns
+// nil when the input is too large for uint16 entries (c·h·w >
+// MaxGatherSrc); such a conv must stay off the packed path.
+func NewConvGather(c, h, w, kh, kw, stride, pad, outH, outW int) *ConvGather {
+	src := c * h * w
+	if src > MaxGatherSrc {
+		return nil
+	}
+	k, n := c*kh*kw, outH*outW
+	kq := (k + 1) / 2
+	sentinel := uint16(src) //trlint:checked src <= MaxGatherSrc, checked above
+	g := &ConvGather{idx: make([]uint16, PackBSize(k, n)), src: src}
+	// Walk the PackB layout column by column: column col of panel cp
+	// holds tap r at byte cp·kq·32 + (r/2)·32 + 2·(col%16) + r%2.
+	for col := 0; col < (n+15)/16*16; col++ {
+		out := g.idx[col/16*kq*32+2*(col%16):]
+		if col >= n {
+			for q := 0; q < kq; q++ {
+				out[q*32], out[q*32+1] = sentinel, sentinel
+			}
 			continue
 		}
-		srow := plane[iy*w:][:w]
-		lo, hi := rowSpan(w, kx, stride, pad, outW)
-		fill128(drow[idx : idx+lo])
-		ix := lo*stride + kx - pad
-		for ox := lo; ox < hi; ox++ {
-			drow[idx+ox] = uint8(srow[ix] + 128) //trlint:checked codes are clamped to [-127,127], so +128 is in [1,255]
-			ix += stride
+		oy, ox := col/outW*stride-pad, col%outW*stride-pad
+		r := 0
+		for ci := 0; ci < c; ci++ {
+			for ky := 0; ky < kh; ky++ {
+				iy := oy + ky
+				for kx := 0; kx < kw; kx++ {
+					ix := ox + kx
+					v := sentinel
+					if iy >= 0 && iy < h && ix >= 0 && ix < w {
+						v = uint16((ci*h+iy)*w + ix) //trlint:checked an in-bounds input index is < src <= MaxGatherSrc
+					}
+					out[r/2*32+r%2] = v
+					r++
+				}
+			}
 		}
-		fill128(drow[idx+hi : idx+outW])
-		idx += outW
+		if r%2 == 1 {
+			out[r/2*32+1] = sentinel // odd-k pad tap
+		}
 	}
+	return g
 }
 
-func fill128(s []uint8) {
-	for i := range s {
-		s[i] = 128
+// Len returns the packed B length the table fills: PackBSize of the
+// conv's patch matrix.
+func (g *ConvGather) Len() int { return len(g.idx) }
+
+// Pack writes the packed B panels of src's patch matrix into dst in one
+// pass, byte-identical to PackB over the offset-u8 im2col matrix. src
+// is the conv input (exactly the c·h·w codes the table was compiled
+// for; activation codes are clamped to [-127, 127] by every producer,
+// so their offset stays in [1, 255]); stage is caller-owned scratch.
+func (g *ConvGather) Pack(dst []uint8, src []int32, stage *GatherStage) {
+	OffsetU8(stage[:g.src], src[:g.src])
+	stage[g.src] = 128
+	// The table holds whole 32-byte tap-pair groups, so eight-entry
+	// strides cover it exactly; uint16 entries need no bounds check
+	// against the 64 KiB stage, and the unrolled body trims the loop
+	// overhead (about a quarter faster than one entry per iteration in
+	// BenchmarkConvGatherPack on a 2-vCPU AVX2 Xeon).
+	idx := g.idx
+	dst = dst[:len(idx)]
+	for i := 0; i < len(idx); i += 8 {
+		t := (*[8]uint16)(idx[i:])
+		d := (*[8]uint8)(dst[i:])
+		d[0], d[1], d[2], d[3] = stage[t[0]], stage[t[1]], stage[t[2]], stage[t[3]]
+		d[4], d[5], d[6], d[7] = stage[t[4]], stage[t[5]], stage[t[6]], stage[t[7]]
 	}
 }
 
 // OffsetU8 converts a slice of int8-range codes to the offset-u8
-// domain — the no-im2col analogue of Im2colU8 for pointwise
-// convolutions, whose input layout already is the patch matrix.
+// domain: the gather's staging pass and the packed linear lane's
+// activation matrices.
 func OffsetU8(dst []uint8, src []int32) {
 	for i, v := range src {
 		dst[i] = uint8(v + 128) //trlint:checked codes are clamped to [-127,127], so +128 is in [1,255]

@@ -148,30 +148,103 @@ func TestAccumFitsU8(t *testing.T) {
 	}
 }
 
-// TestIm2colU8MatchesIm2col pins the offset identity between the two
-// patch builders for padded and pad-free geometries.
-func TestIm2colU8MatchesIm2col(t *testing.T) {
+// packedIm2col is the two-pass reference the gather replaces:
+// PackB(OffsetU8(Im2col(src))).
+func packedIm2col(src []int32, c, h, w, kh, kw, stride, pad, outH, outW int) []uint8 {
+	k, n := c*kh*kw, outH*outW
+	col := make([]int32, k*n)
+	Im2col(col, src, c, h, w, kh, kw, stride, pad, outH, outW)
+	u8 := make([]uint8, k*n)
+	OffsetU8(u8, col)
+	pb := make([]uint8, PackBSize(k, n))
+	PackB(pb, u8, k, n)
+	return pb
+}
+
+// TestConvGatherMatchesIm2colPackB pins the gather table byte for byte
+// against the two-pass reference over a geometry grid: strides 1–3,
+// pads 0–2, kernels 1/3/5 (and two non-square ones), odd and even
+// c·kh·kw, n off the 16-column grid, non-square inputs, and each
+// group's slice of a two-group input.
+// One stage and one destination serve every case, so stale bytes from
+// a larger earlier pack must never leak into a smaller one.
+func TestConvGatherMatchesIm2colPackB(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
-	type geom struct{ c, h, w, kh, kw, stride, pad int }
-	for _, g := range []geom{
-		{3, 8, 8, 3, 3, 1, 1},
-		{2, 7, 9, 3, 3, 2, 1},
-		{1, 6, 6, 3, 3, 1, 0},
-		{2, 9, 7, 5, 3, 2, 2},
-	} {
-		outH := (g.h+2*g.pad-g.kh)/g.stride + 1
-		outW := (g.w+2*g.pad-g.kw)/g.stride + 1
-		src := randCodes(rng, g.c*g.h*g.w)
-		kk := g.c * g.kh * g.kw
-		n := outH * outW
-		want := make([]int32, kk*n)
-		Im2col(want, src, g.c, g.h, g.w, g.kh, g.kw, g.stride, g.pad, outH, outW)
-		got := make([]uint8, kk*n)
-		Im2colU8(got, src, g.c, g.h, g.w, g.kh, g.kw, g.stride, g.pad, outH, outW)
-		for i := range want {
-			if int32(got[i])-128 != want[i] {
-				t.Fatalf("%+v: element %d: u8=%d, int32=%d", g, i, got[i], want[i])
+	stage := new(GatherStage)
+	dst := make([]uint8, 1<<16)
+	cases := 0
+	for _, c := range []int{1, 2, 3} {
+		for _, hw := range [][2]int{{5, 7}, {8, 8}, {9, 6}} {
+			h, w := hw[0], hw[1]
+			for _, kern := range [][2]int{{1, 1}, {3, 3}, {5, 5}, {5, 3}, {1, 3}} {
+				kh, kw := kern[0], kern[1]
+				for stride := 1; stride <= 3; stride++ {
+					for pad := 0; pad <= 2; pad++ {
+						if h+2*pad < kh || w+2*pad < kw {
+							continue
+						}
+						outH := (h+2*pad-kh)/stride + 1
+						outW := (w+2*pad-kw)/stride + 1
+						g := NewConvGather(c, h, w, kh, kw, stride, pad, outH, outW)
+						if g == nil {
+							t.Fatalf("c=%d %dx%d: no table for a small input", c, h, w)
+						}
+						const groups = 2
+						all := randCodes(rng, groups*c*h*w)
+						for grp := 0; grp < groups; grp++ {
+							src := all[grp*c*h*w:][:c*h*w]
+							want := packedIm2col(src, c, h, w, kh, kw, stride, pad, outH, outW)
+							if g.Len() != len(want) {
+								t.Fatalf("Len = %d, want %d", g.Len(), len(want))
+							}
+							for i := range dst {
+								dst[i] = 0xAA
+							}
+							g.Pack(dst, src, stage)
+							for i := range want {
+								if dst[i] != want[i] {
+									t.Fatalf("c=%d %dx%d k=%v s=%d p=%d group %d: byte %d: gather=%d, want %d",
+										c, h, w, kern, stride, pad, grp, i, dst[i], want[i])
+								}
+							}
+							if dst[len(want)] != 0xAA {
+								t.Fatalf("c=%d %dx%d k=%v s=%d p=%d: gather wrote past Len", c, h, w, kern, stride, pad)
+							}
+						}
+						cases++
+					}
+				}
 			}
+		}
+	}
+	if cases < 300 {
+		t.Fatalf("grid covered only %d geometries", cases)
+	}
+}
+
+// TestConvGatherIndexWidth pins the uint16 table's limit: an input of
+// exactly MaxGatherSrc elements still packs byte-identically (its last
+// element and the sentinel sit at the top two indices), and one element
+// more gets no table rather than wrapped indices.
+func TestConvGatherIndexWidth(t *testing.T) {
+	if g := NewConvGather(1, 256, 256, 3, 3, 1, 1, 256, 256); g != nil {
+		t.Fatal("a 65536-element input got a uint16 gather table")
+	}
+	h, w := 255, 257 // 65535 elements
+	if h*w != MaxGatherSrc {
+		t.Fatalf("test geometry has %d elements, want %d", h*w, MaxGatherSrc)
+	}
+	g := NewConvGather(1, h, w, 3, 3, 1, 1, h, w)
+	if g == nil {
+		t.Fatal("a MaxGatherSrc-element input got no table")
+	}
+	src := randCodes(rand.New(rand.NewSource(59)), h*w)
+	want := packedIm2col(src, 1, h, w, 3, 3, 1, 1, h, w)
+	got := make([]uint8, g.Len())
+	g.Pack(got, src, new(GatherStage))
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("byte %d: gather=%d, want %d", i, got[i], want[i])
 		}
 	}
 }
@@ -280,7 +353,7 @@ func TestIm2colBorderOnlyFill(t *testing.T) {
 	}
 }
 
-// TestRowSpan pins the border arithmetic shared by Im2col and Im2colU8.
+// TestRowSpan pins Im2col's border arithmetic.
 func TestRowSpan(t *testing.T) {
 	cases := []struct {
 		w, kx, stride, pad, outW int
@@ -308,5 +381,18 @@ func TestRowSpan(t *testing.T) {
 					c.w, c.kx, c.stride, c.pad, c.outW, ox)
 			}
 		}
+	}
+}
+
+// BenchmarkConvGatherPack times one gather pass for a 3×3 pad-1 conv
+// over a 16×8×8 input, the residual-stage shape of the demo CNN.
+func BenchmarkConvGatherPack(b *testing.B) {
+	g := NewConvGather(16, 8, 8, 3, 3, 1, 1, 8, 8)
+	src := randCodes(rand.New(rand.NewSource(1)), 16*8*8)
+	dst := make([]uint8, g.Len())
+	stage := new(GatherStage)
+	b.SetBytes(int64(g.Len()))
+	for i := 0; i < b.N; i++ {
+		g.Pack(dst, src, stage)
 	}
 }

@@ -9,8 +9,9 @@ import (
 // disk cache (internal/kernels/autotune). Bump it whenever a change to
 // the packed kernels, panel layouts, or the blocked drivers below could
 // shift the performance ranking of tiles — stale picks are then ignored
-// because the cache file name embeds the version.
-const TuneVersion = 1
+// because the cache file name embeds the version. Version 2: conv picks
+// time the row driver over a gathered B and tune MR alone.
+const TuneVersion = 2
 
 // Tile is the blocking geometry of one packed-GEMM invocation. The
 // fields never change arithmetic — every output element accumulates its
@@ -29,8 +30,10 @@ const TuneVersion = 1
 //	    the PackBBlocked traversal; combined with KC it bounds the
 //	    source window one packing pass touches.
 //
-// The zero value (all fields 0) means "unblocked": whole-matrix
-// traversals, exactly the pre-tiling behaviour of PackB + Gemm8Rows.
+// NR and KC steer PackBBlocked only, so they matter to the packed
+// linear lane; a conv's B comes from its gather table and its tile
+// carries MR alone. The zero value (all fields 0) means "unblocked":
+// whole-matrix traversals, exactly the behaviour of PackB + Gemm8Rows.
 type Tile struct {
 	MR, NR, KC int
 }
@@ -88,17 +91,14 @@ func RowPanels(mr, mp int) int {
 	return p
 }
 
-// Gemm8Tuned is the single-threaded blocked driver over the packed
-// kernel: it packs the k×n offset-u8 matrix u8 into pb with the tile's
-// (NR, KC) traversal and computes row panels in MR-row blocks. Output
-// is bit-identical to PackB + Gemm8Rows for every tile (blocking only
-// reorders traversal); this is both the execution shape the plan
-// executor uses when it does not fan rows out and the exact loop the
-// autotuner times. pb must hold PackBSize(pa.K, n) bytes and dst m×n
-// int32s.
-func Gemm8Tuned(dst []int32, pa *PackedA, u8, pb []uint8, n int, t Tile, mult float64, lo, hi int32) {
-	PackBBlocked(pb, u8, pa.K, n, t.NR, t.KC)
-	mrp := RowPanels(t.MR, pa.MP)
+// Gemm8Blocks is the single-threaded row driver over an already-packed
+// B: it computes the m×n result's row panels in blocks of mr rows
+// (RowPanels), keeping each A block resident while the B panels stream
+// past. Output is bit-identical to Gemm8Rows over all panels for every
+// mr. This is the loop a conv step runs after its gather and the loop
+// the autotuner times for conv geometries.
+func Gemm8Blocks(dst []int32, pa *PackedA, pb []uint8, n, mr int, mult float64, lo, hi int32) {
+	mrp := RowPanels(mr, pa.MP)
 	for p0 := 0; p0 < pa.MP; p0 += mrp {
 		p1 := p0 + mrp
 		if p1 > pa.MP {
@@ -106,6 +106,18 @@ func Gemm8Tuned(dst []int32, pa *PackedA, u8, pb []uint8, n int, t Tile, mult fl
 		}
 		Gemm8Rows(dst, pa, pb, n, p0, p1, mult, lo, hi)
 	}
+}
+
+// Gemm8Tuned is the blocked driver of the packed linear lane: it packs
+// the k×n offset-u8 matrix u8 into pb with the tile's (NR, KC)
+// traversal, then runs Gemm8Blocks with the tile's MR. Output is
+// bit-identical to PackB + Gemm8Rows for every tile (blocking only
+// reorders traversal); it is the exact loop the autotuner times for
+// linear geometries. pb must hold PackBSize(pa.K, n) bytes and dst m×n
+// int32s.
+func Gemm8Tuned(dst []int32, pa *PackedA, u8, pb []uint8, n int, t Tile, mult float64, lo, hi int32) {
+	PackBBlocked(pb, u8, pa.K, n, t.NR, t.KC)
+	Gemm8Blocks(dst, pa, pb, n, t.MR, mult, lo, hi)
 }
 
 // Gemv8Rows is the n=1 (GEMV-shaped) packed linear kernel: dst rows
