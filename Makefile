@@ -43,6 +43,11 @@
 #                compressed artifact (on-disk bytes, load time, plan
 #                build) + results/BENCH_load.json; fails unless the
 #                artifact is at least 2x smaller than gob
+#   make serve-fuzz  the classify decode fuzzers, 30 s each: the one-pass
+#                body parser against encoding/json (FuzzDecodeClassify),
+#                then raw bodies through a running server's handler
+#                (FuzzClassifyHandler); their seed corpora already run in
+#                tier1 as plain tests
 #   make perfbench-check  the end-to-end benchmark's harness tests, then
 #                a short closed_cnn run that must print "correct":true:
 #                every served class equals the library's class for that
@@ -51,7 +56,7 @@
 
 GO ?= go
 
-.PHONY: tier1 tier1-noasm tier2 tier3 lint lint-json bench benchcmp autotune-check serve-smoke serve-bench serve-soak budget-bench load-bench perfbench-check
+.PHONY: tier1 tier1-noasm tier2 tier3 lint lint-json bench benchcmp autotune-check serve-smoke serve-bench serve-soak serve-fuzz budget-bench load-bench perfbench-check
 
 tier1:
 	$(GO) build ./... && $(GO) test ./...
@@ -112,6 +117,14 @@ serve-bench:
 serve-soak:
 	$(GO) run ./cmd/trserve -model mlp -selfload -sweep 1,2,4 -duration 2s \
 		-slo-p99 250ms -force -out results/BENCH_soak.json
+
+# Every call of the handler fuzzer runs the server's worker goroutines,
+# whose scheduling shifts coverage from call to call, so nearly every
+# input reads as new and go test would spend the run minimizing
+# kilobyte bodies; -fuzzminimizetime 0 keeps it fuzzing.
+serve-fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeClassify$$' -fuzztime 30s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzClassifyHandler$$' -fuzztime 30s -fuzzminimizetime 0 ./internal/serve
 
 budget-bench:
 	$(GO) run ./cmd/trbench -bench-budget

@@ -25,7 +25,7 @@ var (
 	famErr    error
 )
 
-func testFamily(t *testing.T) (*intinfer.Family, [][]float32) {
+func testFamily(t testing.TB) (*intinfer.Family, [][]float32) {
 	t.Helper()
 	famOnce.Do(func() {
 		fam, test, err := demoplan.MLPFamily(obs.New(), nil)
@@ -41,7 +41,7 @@ func testFamily(t *testing.T) (*intinfer.Family, [][]float32) {
 	return testFamV, famImages
 }
 
-func newFamilyServer(t *testing.T, mutate func(*Config)) *Server {
+func newFamilyServer(t testing.TB, mutate func(*Config)) *Server {
 	t.Helper()
 	fam, _ := testFamily(t)
 	cfg := Config{Family: fam, MaxBatch: 8, MaxDelay: time.Millisecond,

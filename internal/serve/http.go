@@ -1,12 +1,14 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -16,6 +18,14 @@ import (
 // takes 192 floats; even generous models fit far under a megabyte of
 // JSON, and an unbounded body is a memory-exhaustion vector.
 const maxBodyBytes = 1 << 20
+
+// maxPooledBody caps the body buffers bodyBufs keeps: a classify body is
+// a few KiB, and one that grew a buffer toward maxBodyBytes must not
+// keep it alive in the pool.
+const maxPooledBody = 64 << 10
+
+// bodyBufs recycles the buffers classify bodies are read into.
+var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // classifyRequest is the POST /v1/classify body.
 type classifyRequest struct {
@@ -114,8 +124,8 @@ func (s *Server) handleClassify(w http.ResponseWriter, req *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST only"})
 		return
 	}
-	var in classifyRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxBodyBytes)).Decode(&in); err != nil {
+	in, err := s.readClassify(w, req)
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeJSON(w, http.StatusRequestEntityTooLarge, errorResponse{
@@ -142,7 +152,12 @@ func (s *Server) handleClassify(w http.ResponseWriter, req *http.Request) {
 	}
 	deadline := s.cfg.DefaultDeadline
 	if in.DeadlineMs > 0 {
-		deadline = time.Duration(in.DeadlineMs) * time.Millisecond
+		// Clamp in milliseconds first: a deadline_ms past MaxInt64
+		// nanoseconds would wrap to a negative Duration and expire at once.
+		deadline = s.cfg.MaxDeadline
+		if in.DeadlineMs <= s.cfg.MaxDeadline.Milliseconds() {
+			deadline = time.Duration(in.DeadlineMs) * time.Millisecond
+		}
 	}
 	if deadline > s.cfg.MaxDeadline {
 		deadline = s.cfg.MaxDeadline
@@ -172,6 +187,40 @@ func (s *Server) handleClassify(w http.ResponseWriter, req *http.Request) {
 	default:
 		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
 	}
+}
+
+// readClassify reads the request body once, through the size cap, into
+// a pooled buffer and decodes it: in one pass when decodeClassify handles
+// the bytes, otherwise with encoding/json over the same bytes, so every
+// malformed body keeps the reference decoder's error. Because the whole
+// body is read, one over maxBodyBytes is a *http.MaxBytesError even when
+// a valid object ends before the cap. The decoded request holds no
+// reference to the buffer, which goes back to the pool on return.
+func (s *Server) readClassify(w http.ResponseWriter, req *http.Request) (classifyRequest, error) {
+	buf := bodyBufs.Get().(*bytes.Buffer)
+	defer putBody(buf)
+	var in classifyRequest
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, req.Body, maxBodyBytes)); err != nil {
+		return in, err
+	}
+	if decodeClassify(buf.Bytes(), s.inLen, &in) {
+		return in, nil
+	}
+	in = classifyRequest{}
+	err := json.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&in)
+	return in, err
+}
+
+// putBody returns a body buffer to bodyBufs unless it outgrew
+// maxPooledBody.
+//
+//trlint:arena-release
+func putBody(buf *bytes.Buffer) {
+	if buf.Cap() > maxPooledBody {
+		return
+	}
+	buf.Reset()
+	bodyBufs.Put(buf)
 }
 
 // requestBudget validates and resolves the body's quality hints into a
