@@ -48,6 +48,9 @@
 #                then raw bodies through a running server's handler
 #                (FuzzClassifyHandler); their seed corpora already run in
 #                tier1 as plain tests
+#   make serve-race  the serve package under the race detector ten times
+#                over: the drain, swap and batching-window tests are
+#                timing-sensitive, so one clean pass is not evidence
 #   make perfbench-check  the end-to-end benchmark's harness tests, then
 #                a short closed_cnn run that must print "correct":true:
 #                every served class equals the library's class for that
@@ -56,7 +59,7 @@
 
 GO ?= go
 
-.PHONY: tier1 tier1-noasm tier2 tier3 lint lint-json bench benchcmp autotune-check serve-smoke serve-bench serve-soak serve-fuzz budget-bench load-bench perfbench-check
+.PHONY: tier1 tier1-noasm tier2 tier3 lint lint-json bench benchcmp autotune-check serve-smoke serve-bench serve-soak serve-fuzz serve-race budget-bench load-bench perfbench-check
 
 tier1:
 	$(GO) build ./... && $(GO) test ./...
@@ -125,6 +128,9 @@ serve-soak:
 serve-fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeClassify$$' -fuzztime 30s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzClassifyHandler$$' -fuzztime 30s -fuzzminimizetime 0 ./internal/serve
+
+serve-race:
+	$(GO) test -race -count=10 ./internal/serve
 
 budget-bench:
 	$(GO) run ./cmd/trbench -bench-budget

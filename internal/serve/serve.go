@@ -32,6 +32,13 @@
 // batch. Counting in-flight work matters precisely when it used to be
 // invisible — W busy workers are up to W·MaxBatch images of committed
 // latency the queue alone no longer shows.
+//
+// Mixed budgets also shape the batching window. A worker holds a batch
+// open for MaxDelay only while no other budget's request waits on it:
+// once one is parked on its carry list, the batch takes the same-budget
+// requests already queued and dispatches, because the parked request is
+// that worker's next job and a longer wait would only idle the worker.
+// Single-budget traffic never parks, so its window is unchanged.
 package serve
 
 import (
@@ -101,7 +108,9 @@ type Config struct {
 	// MaxBatch caps how many requests one dispatch carries.
 	MaxBatch int
 	// MaxDelay bounds how long the scheduler waits for a batch to
-	// fill once it holds at least one request.
+	// fill once it holds at least one request. The window holds only
+	// while no request at another budget waits on the worker; once one
+	// does, the batch takes what is already queued and dispatches.
 	MaxDelay time.Duration
 	// QueueCap bounds the admission queue; a full queue sheds.
 	QueueCap int
@@ -173,6 +182,7 @@ type request struct {
 type metrics struct {
 	ok, shed, timeout, failed, draining *obs.Counter
 	batches, batchImages                *obs.Counter
+	batchClose                          [numCloseReasons]*obs.Counter
 	degraded                            *obs.Counter
 	served                              map[int]*obs.Counter // per-rung, family servers only
 	queueDepth                          *obs.Gauge
@@ -202,6 +212,7 @@ func newMetrics(r *obs.Registry, cfg Config) metrics {
 	r.Help("trq_serve_requests_total", "classification requests by terminal status (ok, shed, timeout, error, draining)")
 	r.Help("trq_serve_batches_total", "micro-batches dispatched to the inference plan")
 	r.Help("trq_serve_batch_images_total", "images carried by dispatched micro-batches")
+	r.Help("trq_serve_batch_close_total", "micro-batches cut by the scheduler, by why collection stopped (full, window, other_budget, drain)")
 	r.Help("trq_serve_queue_depth", "requests admitted but not yet dispatched")
 	r.Help("trq_serve_batch_size", "images per dispatched micro-batch")
 	r.Help("trq_serve_queue_wait_seconds", "admission-to-dispatch wait per request")
@@ -221,6 +232,9 @@ func newMetrics(r *obs.Registry, cfg Config) metrics {
 		// clipped every tail wait into the top bucket.)
 		queueWait: r.Histogram("trq_serve_queue_wait_seconds", 0, cfg.MaxDeadline.Seconds(), 128),
 		latency:   r.Histogram("trq_serve_request_latency_seconds", 0, 0.25, 50),
+	}
+	for why, name := range closeReasonNames {
+		m.batchClose[why] = r.Counter("trq_serve_batch_close_total", "reason", name)
 	}
 	r.Help("trq_serve_worker_busy", "1 while the labelled batch worker is executing a batch")
 	r.Help("trq_serve_worker_batches_total", "micro-batches dispatched by the labelled batch worker")
@@ -654,18 +668,19 @@ func (s *Server) submit(img []float32, deadline time.Time, budget int) (*request
 }
 
 // worker is one replica of the scheduler loop: block for the first
-// request, collect until the batch is full or MaxDelay lapses,
-// dispatch, repeat. Batches are budget-homogeneous: requests at a
-// different budget than the batch under construction are parked on the
-// worker's own carry list and seed its next rounds, so a mixed stream
-// costs extra dispatches, never a mixed batch. Workers share nothing
-// but the queue channel itself (an MPMC-safe receive) — carry list and
-// delay timer are worker-local, and each dispatch draws scratch from
-// the plan's sync.Pool, which shards per P. A closed queue (Drain)
-// still yields its buffered requests before ok goes false — the
-// runtime distributes them across however many workers are receiving —
-// and the outer loop keeps dispatching until the carry list is empty
-// too, so the flush is part of the same loop on every replica.
+// request, collect until the batch is full, MaxDelay lapses or another
+// budget's request waits, dispatch, repeat. Batches are
+// budget-homogeneous: requests at a different budget than the batch
+// under construction are parked on the worker's own carry list and seed
+// its next rounds, so a mixed stream costs extra dispatches, never a
+// mixed batch. Workers share nothing but the queue channel itself (an
+// MPMC-safe receive) — carry list and delay timer are worker-local, and
+// each dispatch draws scratch from the plan's sync.Pool, which shards
+// per P. A closed queue (Drain) still yields its buffered requests
+// before ok goes false — the runtime distributes them across however
+// many workers are receiving — and the outer loop keeps dispatching
+// until the carry list is empty too, so the flush is part of the same
+// loop on every replica.
 func (s *Server) worker(id int) {
 	timer := time.NewTimer(time.Hour)
 	if !timer.Stop() {
@@ -685,18 +700,39 @@ func (s *Server) worker(id int) {
 			first = r
 		}
 		var batch []*request
-		batch, carry = s.collect(first, carry, timer)
+		var why closeReason
+		batch, carry, why = s.collect(first, carry, timer)
+		s.met.batchClose[why].Inc()
 		s.dispatch(id, batch)
 	}
 }
+
+// closeReason says why collect stopped growing a batch; it labels
+// trq_serve_batch_close_total.
+type closeReason int
+
+const (
+	closeFull        closeReason = iota // MaxBatch reached
+	closeWindow                         // the MaxDelay timer fired
+	closeOtherBudget                    // another budget's request waits on this worker
+	closeDrain                          // the queue closed
+	numCloseReasons
+)
+
+var closeReasonNames = [numCloseReasons]string{"full", "window", "other_budget", "drain"}
 
 // collect grows a budget-homogeneous batch around its first member: up
 // to MaxBatch same-budget requests, or whatever has arrived when the
 // MaxDelay timer fires. Previously parked requests are adopted first;
 // arrivals at another budget are parked and returned as the new carry
-// list. Parking is bounded by QueueCap — past that, collect stops
+// list. The window holds only while nothing else waits on this worker:
+// once a request at another budget is parked (left from the last round
+// or arriving during this one), a longer wait would idle the worker
+// while admitted work waits, so collect stops waiting on the timer,
+// takes only the same-budget requests already queued, and cuts the
+// batch. Parking is bounded by QueueCap — past that, collect stops
 // early so the parked work drains before more piles up.
-func (s *Server) collect(first *request, carry []*request, timer *time.Timer) (batch, parked []*request) {
+func (s *Server) collect(first *request, carry []*request, timer *time.Timer) (batch, parked []*request, why closeReason) {
 	b := first.budget
 	batch = []*request{first}
 	parked = carry[:0]
@@ -708,37 +744,50 @@ func (s *Server) collect(first *request, carry []*request, timer *time.Timer) (b
 		}
 	}
 	if len(batch) >= s.cfg.MaxBatch {
-		return batch, parked
+		return batch, parked, closeFull
 	}
-	timer.Reset(s.cfg.MaxDelay)
-	defer func() {
-		if !timer.Stop() {
-			select { // drain a fired-but-unread timer for reuse
-			case <-timer.C:
-			default:
-			}
-		}
-	}()
-	for len(batch) < s.cfg.MaxBatch {
-		select {
-		//trlint:checked lock-free receive by design: collect runs on a worker goroutine; channel receives are MPMC-safe and mu only orders sends against close
-		case r, ok := <-s.queue:
-			if !ok {
-				return batch, parked // draining: flush what we hold
-			}
-			if r.budget != b {
-				parked = append(parked, r)
-				if len(parked) >= s.cfg.QueueCap {
-					return batch, parked
+	if len(parked) == 0 {
+		timer.Reset(s.cfg.MaxDelay)
+		defer func() {
+			if !timer.Stop() {
+				select { // drain a fired-but-unread timer for reuse
+				case <-timer.C:
+				default:
 				}
-				continue
 			}
-			batch = append(batch, r)
-		case <-timer.C:
-			return batch, parked
-		}
+		}()
 	}
-	return batch, parked
+	for len(batch) < s.cfg.MaxBatch {
+		var r *request
+		var ok bool
+		if len(parked) == 0 {
+			select {
+			//trlint:checked lock-free receive by design: collect runs on a worker goroutine; channel receives are MPMC-safe and mu only orders sends against close
+			case r, ok = <-s.queue:
+			case <-timer.C:
+				return batch, parked, closeWindow
+			}
+		} else {
+			select {
+			//trlint:checked lock-free receive by design: collect runs on a worker goroutine; channel receives are MPMC-safe and mu only orders sends against close
+			case r, ok = <-s.queue:
+			default: // the queue is empty: serve the parked work next
+				return batch, parked, closeOtherBudget
+			}
+		}
+		if !ok {
+			return batch, parked, closeDrain // draining: flush what we hold
+		}
+		if r.budget != b {
+			parked = append(parked, r)
+			if len(parked) >= s.cfg.QueueCap {
+				return batch, parked, closeOtherBudget
+			}
+			continue
+		}
+		batch = append(batch, r)
+	}
+	return batch, parked, closeFull
 }
 
 // dispatch answers every request in the batch exactly once on worker

@@ -27,9 +27,11 @@ func TestSwapUnderLoadDropsNothing(t *testing.T) {
 	defer s.Drain(context.Background())
 
 	stop := make(chan struct{})
+	swapperDone := make(chan struct{})
 	var swaps atomic.Int64
 	var swapErr atomic.Pointer[error]
 	go func() {
+		defer close(swapperDone)
 		for i := 1; ; i++ {
 			select {
 			case <-stop:
@@ -70,15 +72,19 @@ func TestSwapUnderLoadDropsNothing(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
+	// A swap already past the stop check still lands after close(stop);
+	// wait for the swapper to exit so the count below is final.
 	close(stop)
+	<-swapperDone
 	if p := reqErr.Load(); p != nil {
 		t.Fatalf("request failed under hot-swap: %v", *p)
 	}
 	if p := swapErr.Load(); p != nil {
 		t.Fatalf("swap failed: %v", *p)
 	}
-	if swaps.Load() < 2 {
-		t.Fatalf("only %d swaps landed during the load window", swaps.Load())
+	nswaps := swaps.Load()
+	if nswaps < 2 {
+		t.Fatalf("only %d swaps landed during the load window", nswaps)
 	}
 	if served.Load() == 0 {
 		t.Fatal("no requests served")
@@ -87,8 +93,8 @@ func TestSwapUnderLoadDropsNothing(t *testing.T) {
 	if st.Errors != 0 {
 		t.Fatalf("%d server errors under hot-swap", st.Errors)
 	}
-	if got := s.ModelVersion(); got != fmt.Sprintf("v%d", swaps.Load()) {
-		t.Fatalf("serving version %q after %d swaps", got, swaps.Load())
+	if got := s.ModelVersion(); got != fmt.Sprintf("v%d", nswaps) {
+		t.Fatalf("serving version %q after %d swaps", got, nswaps)
 	}
 }
 
