@@ -16,6 +16,8 @@
 #                baseline; fails on a >10% regression on any benchmark
 #   make tier1-noasm  tier1 with the assembly kernels compiled out
 #                (-tags noasm), proving the portable fallbacks alone pass
+#   make cross-build  vet every package for arm64 (GOARCH=arm64), the
+#                non-amd64 build the *_other.go kernel twins carry alone
 #   make autotune-check  tile-autotuner determinism gate: two cold plan
 #                builds against one warm cache must land identical tile
 #                picks, identical predictions, and zero microbenchmark
@@ -43,11 +45,12 @@
 #                compressed artifact (on-disk bytes, load time, plan
 #                build) + results/BENCH_load.json; fails unless the
 #                artifact is at least 2x smaller than gob
-#   make serve-fuzz  the classify decode fuzzers, 30 s each: the one-pass
-#                body parser against encoding/json (FuzzDecodeClassify),
-#                then raw bodies through a running server's handler
-#                (FuzzClassifyHandler); their seed corpora already run in
-#                tier1 as plain tests
+#   make serve-fuzz  the classify fuzzers, 30 s each: the one-pass body
+#                parser against encoding/json (FuzzDecodeClassify), raw
+#                bodies through a running server's handler
+#                (FuzzClassifyHandler), then arbitrary float32 pixels
+#                through every intinfer entry point (FuzzClassify); their
+#                seed corpora already run in tier1 as plain tests
 #   make serve-race  the serve package under the race detector ten times
 #                over: the drain, swap and batching-window tests are
 #                timing-sensitive, so one clean pass is not evidence
@@ -59,13 +62,16 @@
 
 GO ?= go
 
-.PHONY: tier1 tier1-noasm tier2 tier3 lint lint-json bench benchcmp autotune-check serve-smoke serve-bench serve-soak serve-fuzz serve-race budget-bench load-bench perfbench-check
+.PHONY: tier1 tier1-noasm cross-build tier2 tier3 lint lint-json bench benchcmp autotune-check serve-smoke serve-bench serve-soak serve-fuzz serve-race budget-bench load-bench perfbench-check
 
 tier1:
 	$(GO) build ./... && $(GO) test ./...
 
 tier1-noasm:
 	$(GO) build -tags noasm ./... && $(GO) test -tags noasm ./...
+
+cross-build:
+	GOARCH=arm64 $(GO) vet ./...
 
 # The race tiers skip internal/experiments: that package regenerates
 # the paper's evaluation serially end to end (model training + sweeps),
@@ -128,6 +134,7 @@ serve-soak:
 serve-fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeClassify$$' -fuzztime 30s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzClassifyHandler$$' -fuzztime 30s -fuzzminimizetime 0 ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzClassify$$' -fuzztime 30s ./internal/intinfer
 
 serve-race:
 	$(GO) test -race -count=10 ./internal/serve

@@ -26,8 +26,8 @@ func TestLoadTypeChecksModulePackages(t *testing.T) {
 	if k == nil {
 		t.Fatal("kernels package not loaded")
 	}
-	if k.Types == nil || k.Types.Scope().Lookup("Gemm") == nil {
-		t.Fatal("kernels not type-checked: Gemm not in scope")
+	if k.Types == nil || k.Types.Scope().Lookup("Gemm8Rows") == nil {
+		t.Fatal("kernels not type-checked: Gemm8Rows not in scope")
 	}
 	// Types must be recorded for expressions (analyzers depend on it).
 	typed := 0
@@ -55,15 +55,13 @@ func TestLoadTypeChecksModulePackages(t *testing.T) {
 
 // kernelSeams are the asm-gated file pairs in internal/kernels: for each
 // seam exactly one variant must be build-selected whatever the tag set —
-// the invariant the gemm8/VNNI dispatch (and asmparity's IgnoredFiles
+// the invariant the FMA and gemm8 dispatch (and asmparity's IgnoredFiles
 // contract) relies on.
 var kernelSeams = []struct {
 	arch, portable string
 }{
 	{"fma_amd64.go", "fma_other.go"},
 	{"gemm8_amd64.go", "gemm8_other.go"},
-	{"vnni_amd64.go", "vnni_other.go"},
-	{"neon_arm64.go", "neon_other.go"},
 }
 
 func loadKernels(t *testing.T, tags string) *Package {

@@ -1,5 +1,5 @@
 // Fixture: feature-detection probes (CPUID/XGETBV declarations like
-// cpuHasAVX512VNNI in the kernels package) carry no //go:noescape
+// cpuHasAVX2FMA in the kernels package) carry no //go:noescape
 // directive and are exempt from the parity invariant — they have no
 // portable twin to compare against; the build-tag seam supplies a
 // constant on other platforms instead.

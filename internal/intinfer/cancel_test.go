@@ -5,6 +5,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/kernels"
 )
 
 // TestRunObservesStop pins the cooperative-cancellation contract inside a
@@ -43,18 +45,6 @@ func TestChunkWorkersObserveStop(t *testing.T) {
 	stop.Store(true)
 	s := &scratch{}
 
-	const sentinel = int32(-777)
-	dst := []int32{sentinel, sentinel}
-	a := []int32{1, 2, 3, 4}
-	x := []int32{5, 6}
-	s.wg.Add(1)
-	gemvChunk(&s.wg, &stop, dst, a, x, nil, 0, 2, 2)
-	for i, v := range dst {
-		if v != sentinel {
-			t.Errorf("gemvChunk wrote dst[%d]=%d despite stop flag", i, v)
-		}
-	}
-
 	dstF := []float64{-777, -777}
 	aF := []float64{1, 2, 3, 4}
 	xF := []float64{5, 6}
@@ -67,11 +57,15 @@ func TestChunkWorkersObserveStop(t *testing.T) {
 		}
 	}
 
+	const sentinel = int32(-777)
+	dst := []int32{sentinel, sentinel, sentinel, sentinel}
+	pa := kernels.PackA([]int32{1, 2, 3, 4, 5, 6, 7, 8}, make([]int32, 4), 4, 2)
+	pb := make([]uint8, kernels.PackBSize(2, 1))
 	s.wg.Add(1)
-	gemmChunk(&s.wg, &stop, dst, a, x, nil, 2, 1, 2)
+	gemm8Chunk(&s.wg, &stop, dst, pa, pb, 1, 0, pa.MP, 1, -127, 127)
 	for i, v := range dst {
 		if v != sentinel {
-			t.Errorf("gemmChunk wrote dst[%d]=%d despite stop flag", i, v)
+			t.Errorf("gemm8Chunk wrote dst[%d]=%d despite stop flag", i, v)
 		}
 	}
 	s.wg.Wait()
@@ -128,7 +122,6 @@ func TestParallelFailingLayerMidBatch(t *testing.T) {
 	// struct copy would illegally copy the arena's sync.Pool).
 	plan.steps = append([]step(nil), plan.steps...)
 	plan.steps[len(plan.steps)-1].kind = kind(99)
-	plan.express = false // the bogus step must reach the general executor
 
 	batch := make([][]float32, 40)
 	for i := range batch {

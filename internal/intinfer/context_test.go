@@ -91,7 +91,7 @@ func TestDeadlineCancelsSerialBatchMidFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 150k express-lane MLP inferences (~1.5µs each) take well over
+	// 150k MLP images on the batched lane (~1µs each) take well over
 	// 100ms on any hardware this repo targets; the 5ms deadline must
 	// therefore fire mid-batch.
 	batch := bigBatch(test.Images, 150000)

@@ -8,21 +8,20 @@ import (
 	"repro/internal/kernels"
 	"repro/internal/models"
 	"repro/internal/nn"
+	"repro/internal/obs"
 	"repro/internal/qsim"
 	"repro/internal/tensor"
 )
 
 // forceDirect rewrites a plan's steps to the golden fallback paths: conv
-// and linear steps lose their GEMM admission and float64 copies, so exec
+// and linear steps lose their packed panels and float64 copies, so exec
 // takes execConvDirect / execLinearDirect with 64-bit accumulation.
 func forceDirect(p *Plan) {
-	p.express = false
 	p.linear8 = false
 	var walk func(steps []step)
 	walk = func(steps []step) {
 		for i := range steps {
 			st := &steps[i]
-			st.gemmOK = false
 			st.wf64 = nil
 			st.bf64 = nil
 			st.pack8 = nil
@@ -41,7 +40,7 @@ func forceDirect(p *Plan) {
 // buildPair builds the same model twice and downgrades one copy to the
 // direct reference paths. Build is deterministic, so any divergence
 // between the two plans' outputs is a kernel-path bug.
-func buildPair(t *testing.T, m *models.ImageModel, opts Options) (fast, direct *Plan) {
+func buildPair(t testing.TB, m *models.ImageModel, opts Options) (fast, direct *Plan) {
 	t.Helper()
 	fast, err := Build(m, opts)
 	if err != nil {
@@ -55,7 +54,7 @@ func buildPair(t *testing.T, m *models.ImageModel, opts Options) (fast, direct *
 	return fast, direct
 }
 
-func assertSameLogits(t *testing.T, fast, direct *Plan, images [][]float32, label string) {
+func assertSameLogits(t testing.TB, fast, direct *Plan, images [][]float32, label string) {
 	t.Helper()
 	for i, img := range images {
 		fl, fc, err := fast.Infer(img)
@@ -80,10 +79,11 @@ func assertSameLogits(t *testing.T, fast, direct *Plan, images [][]float32, labe
 // TestGemmPathMatchesDirectSweep is the golden equivalence sweep: conv
 // architectures covering plain, strided, pooled, residual, grouped
 // (depthwise) and 1x1 convolutions at randomized geometries, each
-// checked bit-exact between the im2col+GEMM lowering and the direct
-// 7-deep reference loop. The models are deliberately left untrained —
-// random weights exercise the kernels just as hard, and only exact
-// equality is asserted.
+// checked bit-exact between the packed lowering (gather + int8 GEMM with
+// the requant fused) and the direct 7-deep reference loop. The
+// comparison is non-vacuous: every model must have packed convs. The
+// models are deliberately left untrained — random weights exercise the
+// kernels just as hard, and only exact equality is asserted.
 func TestGemmPathMatchesDirectSweep(t *testing.T) {
 	type family struct {
 		name  string
@@ -107,23 +107,10 @@ func TestGemmPathMatchesDirectSweep(t *testing.T) {
 			qsim.FoldBatchNorm(m)
 			ds := datasets.ImageClasses(24, g.Classes, g.InC, g.InH, g.InW, seed+100)
 			fast, direct := buildPair(t, m, Options{Calibration: ds.Images[:16]})
-			assertSameLogits(t, fast, direct, ds.Images[16:24], fam.name)
-		}
-	}
-}
-
-// stripPack8 removes only the packed-panel form from every conv step,
-// leaving gemmOK and the float64 copies intact — the resulting plan runs
-// the scalar im2col+Gemm+requant composition the packed path must match.
-func stripPack8(steps []step) {
-	for i := range steps {
-		st := &steps[i]
-		st.pack8 = nil
-		if st.kind == kindResidual {
-			stripPack8(st.body)
-			if st.proj != nil {
-				stripPack8(st.proj)
+			if countPack8(fast.steps) == 0 {
+				t.Fatalf("%s %+v: no conv step was admitted to the packed path", fam.name, g)
 			}
+			assertSameLogits(t, fast, direct, ds.Images[16:24], fam.name)
 		}
 	}
 }
@@ -146,57 +133,11 @@ func countPack8(steps []step) int {
 	return n
 }
 
-// TestPackedGemmMatchesScalarGemm pins the packed int8 SIMD path (panel
-// repack + fused-requant microkernel) bit-exact against the scalar
-// Gemm+requant composition across the conv families, and asserts the
-// comparison is non-vacuous: the small-geometry convs here must all be
-// admitted to the packed path.
-func TestPackedGemmMatchesScalarGemm(t *testing.T) {
-	type family struct {
-		name  string
-		build func(models.CNNGeom, int64) *models.ImageModel
-	}
-	families := []family{
-		{"vgg", models.NewVGGStyle},
-		{"resnet", models.NewResNetStyle},
-		{"mobilenet", models.NewMobileNetStyle},
-	}
-	geoms := []models.CNNGeom{
-		{InC: 3, InH: 8, InW: 8, Classes: 4},
-		{InC: 2, InH: 9, InW: 7, Classes: 5}, // non-square, odd sizes
-	}
-	seed := int64(61)
-	for _, fam := range families {
-		for _, g := range geoms {
-			seed++
-			m := fam.build(g, seed)
-			qsim.FoldBatchNorm(m)
-			ds := datasets.ImageClasses(24, g.Classes, g.InC, g.InH, g.InW, seed+100)
-			packed, err := Build(m, Options{Calibration: ds.Images[:16]})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if countPack8(packed.steps) == 0 {
-				t.Fatalf("%s: no conv step was admitted to the packed path", fam.name)
-			}
-			scalar, err := Build(m, Options{Calibration: ds.Images[:16]})
-			if err != nil {
-				t.Fatal(err)
-			}
-			stripPack8(scalar.steps)
-			// finalize skipped the int32 im2col sizing for packed steps;
-			// re-run it so the scalar plan's arena fits the fallback path.
-			scalar.sizeChain(scalar.steps, scalar.inC, scalar.inH, scalar.inW)
-			assertSameLogits(t, packed, scalar, ds.Images[16:24], fam.name+"-packed")
-		}
-	}
-}
-
 // TestOversizedConvInputStaysUnpacked pins the gather table's index
 // width at plan level: a conv whose input exceeds kernels.MaxGatherSrc
-// keeps the scalar GEMM path (no packed panels, no table) while a
-// smaller conv of the same plan packs, and the plan still matches the
-// direct reference bit for bit.
+// gets no packed panels and no table and dispatches the direct loop,
+// while a smaller conv of the same plan packs, and the plan still
+// matches the direct reference bit for bit.
 func TestOversizedConvInputStaysUnpacked(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	conv := func(label string, inC, h, w, outC int) *nn.Conv2D {
@@ -220,9 +161,9 @@ func TestOversizedConvInputStaysUnpacked(t *testing.T) {
 		switch st.name {
 		case "big":
 			seen++
-			if !st.gemmOK || st.pack8 != nil || st.gather != nil {
-				t.Fatalf("oversized conv: gemmOK=%v packed=%v table=%v, want scalar GEMM only",
-					st.gemmOK, st.pack8 != nil, st.gather != nil)
+			if st.pack8 != nil || st.gather != nil {
+				t.Fatalf("oversized conv: packed=%v table=%v, want neither",
+					st.pack8 != nil, st.gather != nil)
 			}
 		case "small":
 			seen++
@@ -235,31 +176,42 @@ func TestOversizedConvInputStaysUnpacked(t *testing.T) {
 		t.Fatalf("found %d of the 2 conv steps", seen)
 	}
 	assertSameLogits(t, fast, direct, ds.Images[4:], "oversized")
-}
 
-// TestExpressLaneMatchesGeneralPath pins the all-linear express lane
-// (float64 codes end to end) against the general integer path.
-func TestExpressLaneMatchesGeneralPath(t *testing.T) {
-	m, train, test := trainedMLP(t)
-	fast, direct := buildPair(t, m, Options{Calibration: train.Images[:32]})
-	if !fast.express {
-		t.Fatal("MLP plan did not take the express lane")
-	}
-	assertSameLogits(t, fast, direct, test.Images[:32], "express")
-
-	// The general (non-express) integer GEMV must also agree: disable
-	// only the express dispatch but keep the f64 kernels.
-	semi, err := Build(m, Options{Calibration: train.Images[:32]})
+	// One image through an observed build: the oversized conv runs the
+	// direct loop, the small one the packed GEMM, the head the GEMV.
+	reg := obs.New()
+	observed, err := Build(m, Options{Calibration: ds.Images[:4], Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	semi.express = false
-	assertSameLogits(t, semi, direct, test.Images[:32], "f64-linear")
+	if _, _, err := observed.Infer(ds.Images[4]); err != nil {
+		t.Fatal(err)
+	}
+	for path, want := range map[string]int64{"direct": 1, "gemm8": 1, "gemv_f64": 1} {
+		if got := reg.Counter("trq_intinfer_dispatch_total", "path", path).Value(); got != want {
+			t.Errorf("dispatch %s = %d, want %d", path, got, want)
+		}
+	}
+}
+
+// TestLinearPlanMatchesDirect pins the per-image lane of an all-linear
+// plan, every linear on the float64 GEMV, against the direct int64
+// reference, logit for logit.
+func TestLinearPlanMatchesDirect(t *testing.T) {
+	m, train, test := trainedMLP(t)
+	fast, direct := buildPair(t, m, Options{Calibration: train.Images[:32]})
+	for i := range fast.steps {
+		if st := &fast.steps[i]; st.kind == kindLinear && st.wf64 == nil {
+			t.Fatalf("linear step %s has no float64 form", st.name)
+		}
+	}
+	assertSameLogits(t, fast, direct, test.Images[:32], "f64-linear")
 }
 
 // TestClassifySteadyStateAllocs pins the zero-allocation contract: after
-// arena warmup, Classify must not touch the heap — for the express MLP
-// lane and for the packed conv (gather + GEMM) pipeline alike.
+// arena warmup, Classify must not touch the heap — for the MLP's
+// float64 GEMV lane and for the packed conv (gather + GEMM) pipeline
+// alike.
 func TestClassifySteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool fakes misses under the race detector")
@@ -278,7 +230,7 @@ func TestClassifySteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}); n != 0 {
-		t.Errorf("express Classify allocates %.2f objects per call, want 0", n)
+		t.Errorf("MLP Classify allocates %.2f objects per call, want 0", n)
 	}
 
 	g := models.CNNGeom{InC: 3, InH: 8, InW: 8, Classes: 4}

@@ -10,7 +10,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/kernels"
 )
@@ -24,12 +23,12 @@ type activation struct {
 }
 
 // scratch is the per-worker arena a Plan's inference loop runs out of:
-// a free list of equally sized activation buffers, the im2col patch
-// buffer, the packed-GEMM operands (the gather stage, which holds a
-// packed conv's input as offset-u8 bytes, and the B panels), and the
-// logits buffer. One scratch serves one in-flight Infer; Plan recycles
-// them through a sync.Pool so steady-state inference performs no heap
-// allocations after warmup.
+// a free list of equally sized activation buffers, the packed-GEMM
+// operands (the gather stage, which holds a packed conv's input as
+// offset-u8 bytes, and the B panels), the float64 GEMV vectors and the
+// batched linear lane's matrices. One scratch serves one in-flight
+// Infer; Plan recycles them through a sync.Pool so steady-state
+// inference performs no heap allocations after warmup.
 //
 // Buffer discipline inside exec: in-place steps (ReLU, flatten) return
 // their input buffer; every other step gets an output buffer from the
@@ -43,13 +42,11 @@ type scratch struct {
 	free    [][]int32 // available activation buffers, each cap bufCap
 	all     [][]int32 // every arena-owned buffer, the reset source
 	bufCap  int
-	im2col  []int32
 	stage   *kernels.GatherStage
 	bpack   []uint8   // packed B panels (packed int8 GEMM path)
-	xf, yf  []float64 // ping-pong float64 code buffers (GemvF64 path)
+	xf, yf  []float64 // input and output codes of a GemvF64 step
 	bx, by  []uint8   // ping-pong offset-u8 matrices (packed linear lane)
 	lin32   []int32   // code matrix of the current packed-linear layer
-	logits  []float32
 	wg      sync.WaitGroup
 	workers int          // intra-image worker budget for this inference
 	stop    *atomic.Bool // cooperative cancellation flag; nil when unused
@@ -58,8 +55,7 @@ type scratch struct {
 func (p *Plan) newScratch() *scratch {
 	p.pm.scratchNew.Inc()
 	s := &scratch{free: make([][]int32, p.bufCount), bufCap: p.maxAct,
-		im2col: make([]int32, p.maxCol), xf: make([]float64, p.maxLin),
-		yf: make([]float64, p.maxLin), logits: make([]float32, p.classes),
+		xf: make([]float64, p.maxLin), yf: make([]float64, p.maxLin),
 		bpack: make([]uint8, p.maxPackB), lin32: make([]int32, p.lin8Buf),
 		bx: make([]uint8, p.lin8Buf), by: make([]uint8, p.lin8Buf)}
 	if p.staged {
@@ -151,12 +147,12 @@ func (p *Plan) run(img []float32, s *scratch) (activation, error) {
 		return activation{}, fmt.Errorf("intinfer: image has %d values, want %d",
 			len(img), p.inC*p.inH*p.inW)
 	}
-	if p.express {
-		return p.runExpress(img, s)
-	}
 	// Input quantizer: the only float-to-int boundary. Dividing by the
 	// scale is hoisted to a reciprocal multiply, and rounding uses the
-	// 2^52 magic-constant trick (see roundMagic).
+	// 2^52 magic-constant trick (see roundMagic). ±Inf saturates like
+	// any out-of-range value; NaN fails both clamps, so it is mapped to
+	// code 0 explicitly rather than left to int32(NaN), whose value Go
+	// leaves implementation-defined.
 	act := activation{data: s.get(len(img)), c: p.inC, h: p.inH, w: p.inW}
 	dst := act.data[:len(img)]
 	inv := 1 / float64(p.inScale)
@@ -166,6 +162,8 @@ func (p *Plan) run(img []float32, s *scratch) (activation, error) {
 			c = 127
 		} else if c < -127 {
 			c = -127
+		} else if math.IsNaN(c) {
+			c = 0
 		}
 		dst[i] = int32(c)
 	}
@@ -182,59 +180,10 @@ func (p *Plan) run(img []float32, s *scratch) (activation, error) {
 	return act, nil
 }
 
-// runExpress is the lane for plans whose every step is a flatten or a
-// float64-path linear (fused ReLUs included): codes stay in the
-// scratch's float64 ping-pong buffers from the input quantizer to the
-// logits, so no int conversions happen between layers. The code values
-// at every step are identical to the general path's.
-func (p *Plan) runExpress(img []float32, s *scratch) (activation, error) {
-	p.pm.dispatchExpress.Inc()
-	cur, nxt := s.xf, s.yf
-	x := cur[:len(img)]
-	inv := 1 / float64(p.inScale)
-	for i, v := range img {
-		c := float64(v)*inv + roundMagic - roundMagic
-		if c > 127 {
-			c = 127
-		} else if c < -127 {
-			c = -127
-		}
-		x[i] = c
-	}
-	for i := range p.steps {
-		if s.stopped() {
-			return activation{}, errStopped
-		}
-		st := &p.steps[i]
-		if st.kind != kindLinear {
-			continue // flatten: shape-only
-		}
-		if len(x) != st.cols {
-			return activation{}, fmt.Errorf("intinfer: step %s: linear input %d values, want %d",
-				st.name, len(x), st.cols)
-		}
-		var start time.Time
-		if p.pm.enabled {
-			start = time.Now()
-		}
-		p.gemvF64(s, nxt[:st.rows], st.wf64, x, st.bf64, st.rows, st.cols,
-			st.mult, float64(st.lo), float64(st.hi))
-		if p.pm.enabled {
-			p.pm.stepLatency[i].Observe(time.Since(start).Seconds())
-		}
-		cur, nxt = nxt, cur
-		x = cur[:st.rows]
-	}
-	out := activation{data: s.get(len(x)), flat: true}
-	for i, v := range x {
-		//trlint:checked GemvF64 clamps every code to the step's [lo, hi]
-		out.data[i] = int32(v)
-	}
-	return out, nil
-}
-
 // Infer runs one image through the plan and returns the logits in float
-// form (codes times the output scale) plus the predicted class.
+// form (codes times the output scale) plus the predicted class. A NaN
+// pixel quantizes to code 0 and ±Inf saturates to ±127, so non-finite
+// input yields a defined answer, the same on every entry point.
 func (p *Plan) Infer(img []float32) ([]float32, int, error) {
 	s := p.scratch(p.intraWorkers, nil)
 	p.pm.infers.Inc()
@@ -260,19 +209,32 @@ func (p *Plan) Infer(img []float32) ([]float32, int, error) {
 
 // Classify returns only the predicted class, skipping the logits
 // allocation: with a warm arena it performs zero heap allocations, which
-// is the form the batch paths use. The output scale is positive, so the
-// argmax over codes equals the argmax over logits.
+// is the form the batch paths use. Non-finite pixels are handled as in
+// Infer.
 func (p *Plan) Classify(img []float32) (int, error) {
 	return p.classify(img, p.intraWorkers, nil)
 }
 
 func (p *Plan) classify(img []float32, workers int, stop *atomic.Bool) (int, error) {
 	s := p.scratch(workers, stop)
-	p.pm.infers.Inc()
-	act, err := p.run(img, s)
+	best, err := p.runClass(img, s)
 	if err != nil {
 		p.pm.inferErrs.Inc()
 		p.failRelease(s)
+		return 0, err
+	}
+	p.released(s)
+	p.arena.Put(s)
+	return best, nil
+}
+
+// runClass runs one image on an acquired scratch and returns its class,
+// handing the output buffer back to the arena. The output scale is
+// positive, so the argmax over codes equals the argmax over logits.
+func (p *Plan) runClass(img []float32, s *scratch) (int, error) {
+	p.pm.infers.Inc()
+	act, err := p.run(img, s)
+	if err != nil {
 		return 0, err
 	}
 	best := 0
@@ -282,13 +244,12 @@ func (p *Plan) classify(img []float32, workers int, stop *atomic.Bool) (int, err
 		}
 	}
 	s.put(act.data)
-	p.released(s)
-	p.arena.Put(s)
 	return best, nil
 }
 
 // InferBatch classifies a batch and returns predictions, holding one
-// scratch arena for the whole batch.
+// scratch arena for the whole batch. Every prediction equals Classify's
+// for the same image, non-finite pixels included.
 func (p *Plan) InferBatch(images [][]float32) ([]int, error) {
 	return p.inferBatchSerial(images, nil)
 }
@@ -307,8 +268,7 @@ func (p *Plan) inferBatchSerial(images [][]float32, stop *atomic.Bool) ([]int, e
 	s := p.scratch(p.intraWorkers, stop)
 	p.pm.batchImages.Add(int64(len(images)))
 	for i, img := range images {
-		p.pm.infers.Inc()
-		act, err := p.run(img, s)
+		cls, err := p.runClass(img, s)
 		if err != nil {
 			p.pm.inferErrs.Inc()
 			p.failRelease(s)
@@ -317,14 +277,7 @@ func (p *Plan) inferBatchSerial(images [][]float32, stop *atomic.Bool) ([]int, e
 			}
 			return nil, fmt.Errorf("intinfer: image %d: %w", i, err)
 		}
-		best := 0
-		for j, c := range act.data {
-			if c > act.data[best] {
-				best = j
-			}
-		}
-		preds[i] = best
-		s.put(act.data)
+		preds[i] = cls
 	}
 	p.released(s)
 	p.arena.Put(s)
@@ -513,57 +466,13 @@ func requant(acc int64, m float64, lo, hi int32) int32 {
 // race tests can force the parallel path on small models.
 var intraMinWork = 1 << 21
 
-// gemm runs the blocked GEMM, splitting output rows across workers when
-// the layer is large enough to amortize the fan-out. Workers write
-// disjoint row ranges of dst, so no synchronization beyond the
-// WaitGroup (owned by the scratch, so the fan-out itself is
-// allocation-free) is needed.
-func (p *Plan) gemm(s *scratch, dst, a, b, bias []int32, m, n, k int) {
-	p.pm.dispatchGemm.Inc()
-	workers := s.workers
-	if max := m / 4; workers > max {
-		workers = max // keep at least four rows (one block) per worker
-	}
-	if workers <= 1 || m*n*k < intraMinWork {
-		kernels.Gemm(dst, a, b, bias, m, n, k)
-		return
-	}
-	chunk := (m + workers - 1) / workers
-	chunk = (chunk + 3) &^ 3 // whole 4-row blocks keep the kernel hot
-	for r0 := 0; r0 < m; r0 += chunk {
-		r1 := r0 + chunk
-		if r1 > m {
-			r1 = m
-		}
-		var bc []int32
-		if bias != nil {
-			bc = bias[r0:r1]
-		}
-		s.wg.Add(1)
-		go gemmChunk(&s.wg, s.stop, dst[r0*n:r1*n], a[r0*k:r1*k], b, bc, r1-r0, n, k)
-	}
-	s.wg.Wait()
-}
-
-// Chunk workers poll the cancellation flag before touching the kernel:
-// once it is set their output rows are never read (run aborts at the
-// next step boundary), so skipping the compute is safe and lets a batch
-// failure cut short even a large in-flight layer.
-func gemmChunk(wg *sync.WaitGroup, stop *atomic.Bool, dst, a, b, bias []int32, m, n, k int) {
-	defer wg.Done()
-	if stop != nil && stop.Load() {
-		return
-	}
-	kernels.Gemm(dst, a, b, bias, m, n, k)
-}
-
 // gemm8 is the packed-GEMM row driver shared by conv steps and the
 // packed linear lane: over an already-packed B (pb, k×n), the 4-row
 // output panels run with the requant fused, in MR-row blocks, and split
 // across workers in whole MR blocks when the layer is large enough to
-// amortize the fan-out, like gemm splits rows. Panels map to disjoint
-// dst rows, so workers need no synchronization beyond the
-// scratch-owned WaitGroup. The single-threaded path is
+// amortize the fan-out. Panels map to disjoint dst rows, so workers
+// need no synchronization beyond the scratch-owned WaitGroup (which
+// keeps the fan-out allocation-free). The single-threaded path is
 // kernels.Gemm8Blocks, the loop the autotuner times.
 func (p *Plan) gemm8(s *scratch, dst []int32, pa *kernels.PackedA, pb []uint8,
 	n, mr int, mult float64, lo, hi int32) {
@@ -598,39 +507,10 @@ func gemm8Chunk(wg *sync.WaitGroup, stop *atomic.Bool, dst []int32,
 	kernels.Gemm8Rows(dst, pa, pb, n, p0, p1, mult, lo, hi)
 }
 
-// gemv is the n=1 analogue for linear layers.
-func (p *Plan) gemv(s *scratch, dst, a, x, bias []int32, m, k int) {
-	p.pm.dispatchGemv.Inc()
-	workers := s.workers
-	if max := m / 8; workers > max {
-		workers = max
-	}
-	if workers <= 1 || m*k < intraMinWork {
-		kernels.GemvRows(dst, a, x, bias, 0, m, k)
-		return
-	}
-	chunk := (m + workers - 1) / workers
-	for r0 := 0; r0 < m; r0 += chunk {
-		r1 := r0 + chunk
-		if r1 > m {
-			r1 = m
-		}
-		s.wg.Add(1)
-		go gemvChunk(&s.wg, s.stop, dst, a, x, bias, r0, r1, k)
-	}
-	s.wg.Wait()
-}
-
-func gemvChunk(wg *sync.WaitGroup, stop *atomic.Bool, dst, a, x, bias []int32, r0, r1, k int) {
-	defer wg.Done()
-	if stop != nil && stop.Load() {
-		return
-	}
-	kernels.GemvRows(dst, a, x, bias, r0, r1, k)
-}
-
-// gemvF64 mirrors gemv for the float64-carried linear fast path; workers
-// write disjoint row ranges of dst and share the read-only x.
+// gemvF64 runs the float64-carried single-column linear kernel,
+// splitting output rows across workers when the layer is large enough
+// to amortize the fan-out; workers write disjoint row ranges of dst and
+// share the read-only x.
 func (p *Plan) gemvF64(s *scratch, dst, a, x, bias []float64,
 	m, k int, mult, lo, hi float64) {
 	p.pm.dispatchGemvF64.Inc()
@@ -663,13 +543,10 @@ func gemvF64Chunk(wg *sync.WaitGroup, stop *atomic.Bool, dst, a, x, bias []float
 	kernels.GemvF64(dst, a, x, bias, r0, r1, k, mult, lo, hi)
 }
 
-// execConv lowers the convolution to a per-group GEMM when the
-// build-time overflow check admitted the int32 accumulator (st.gemmOK);
-// otherwise it falls back to the direct 7-deep loop with 64-bit
-// accumulation. A packed step gathers its B panels straight from the
-// input; the scalar GEMM path builds an int32 im2col matrix, which 1×1
-// stride-1 unpadded convolutions skip — their input layout already is
-// the patch matrix.
+// execConv runs a packed conv as one gather pass plus the packed GEMM
+// per group, and any conv the build did not pack (kernels.AccumFitsU8,
+// or an input too large for a gather table) on the direct loop with
+// 64-bit accumulation.
 func (p *Plan) execConv(st step, in activation, s *scratch) (activation, error) {
 	g := st.geom
 	if in.c != g.inC || in.h != g.inH || in.w != g.inW {
@@ -678,54 +555,33 @@ func (p *Plan) execConv(st step, in activation, s *scratch) (activation, error) 
 	}
 	out := activation{data: s.get(g.outC * g.outH * g.outW),
 		c: g.outC, h: g.outH, w: g.outW}
-	cPerG := g.inC / g.groups
-	oPerG := g.outC / g.groups
-	kk := cPerG * g.kh * g.kw
-	n := g.outH * g.outW
-	if !st.gemmOK {
+	if st.pack8 == nil {
 		p.pm.dispatchDirect.Inc()
 		execConvDirect(st, in, out)
 		s.put(in.data)
 		return out, nil
 	}
-	if st.pack8 != nil {
-		// Packed int8 SIMD path: one gather pass writes the group's
-		// microkernel panels from its input slice, and the requantization
-		// runs fused inside the kernel's register tile — out.data
-		// receives final codes with no int32 round-trip pass.
-		pb := s.bpack[:st.gather.Len()]
-		for grp := 0; grp < g.groups; grp++ {
-			st.gather.Pack(pb, in.data[grp*cPerG*g.inH*g.inW:][:cPerG*g.inH*g.inW], s.stage)
-			p.pm.dispatchGemm8.Inc()
-			p.gemm8(s, out.data[grp*oPerG*n:][:oPerG*n], st.pack8[grp], pb,
-				n, st.tile.MR, st.mult, st.lo, st.hi)
-		}
-		s.put(in.data)
-		return out, nil
-	}
-	pointwise := g.kh == 1 && g.kw == 1 && g.stride == 1 && g.pad == 0
+	// One gather pass writes the group's microkernel panels from its
+	// input slice, and the requantization runs fused inside the kernel's
+	// register tile — out.data receives final codes with no int32
+	// round-trip pass.
+	cPerG := g.inC / g.groups
+	oPerG := g.outC / g.groups
+	n := g.outH * g.outW
+	pb := s.bpack[:st.gather.Len()]
 	for grp := 0; grp < g.groups; grp++ {
-		b := in.data[grp*cPerG*g.inH*g.inW:][:cPerG*g.inH*g.inW]
-		if !pointwise {
-			col := s.im2col[:kk*n]
-			kernels.Im2col(col, b, cPerG, g.inH, g.inW, g.kh, g.kw,
-				g.stride, g.pad, g.outH, g.outW)
-			b = col
-		}
-		p.gemm(s, out.data[grp*oPerG*n:][:oPerG*n],
-			st.weights[grp*oPerG*kk:][:oPerG*kk], b,
-			st.bias[grp*oPerG:][:oPerG], oPerG, n, kk)
-	}
-	for i, acc := range out.data {
-		out.data[i] = requant(int64(acc), st.mult, st.lo, st.hi)
+		st.gather.Pack(pb, in.data[grp*cPerG*g.inH*g.inW:][:cPerG*g.inH*g.inW], s.stage)
+		p.pm.dispatchGemm8.Inc()
+		p.gemm8(s, out.data[grp*oPerG*n:][:oPerG*n], st.pack8[grp], pb,
+			n, st.tile.MR, st.mult, st.lo, st.hi)
 	}
 	s.put(in.data)
 	return out, nil
 }
 
-// execConvDirect is the reference implementation the GEMM path is tested
-// bit-exact against, and the fallback for geometries whose dot products
-// could overflow an int32 accumulator.
+// execConvDirect is the reference implementation the packed path is
+// tested bit-exact against, and the fallback for convs the build did not
+// pack.
 func execConvDirect(st step, in, out activation) {
 	g := st.geom
 	cPerG := g.inC / g.groups
@@ -761,58 +617,37 @@ func execConvDirect(st step, in, out activation) {
 	}
 }
 
+// execLinear runs one image's linear step: the float64 GEMV with the
+// requant fused when kernels.ExactF64 admitted the step (bit-identical
+// to the direct loop), otherwise the direct loop.
 func (p *Plan) execLinear(st step, in activation, s *scratch) (activation, error) {
 	if len(in.data) != st.cols {
 		return in, fmt.Errorf("linear input %d values, want %d", len(in.data), st.cols)
 	}
 	out := activation{data: s.get(st.rows), flat: true}
-	switch {
-	case st.wf64 != nil:
-		// Fast path: float64-carried MACs with the requant fused into the
-		// kernel. Exactness is proven at build time, so this is
-		// bit-identical to the int32 path below (and the direct one).
-		xf := s.xf[:st.cols]
-		for i, v := range in.data {
-			xf[i] = float64(v)
-		}
-		yf := s.yf[:st.rows]
-		p.gemvF64(s, yf, st.wf64, xf, st.bf64, st.rows, st.cols,
-			st.mult, float64(st.lo), float64(st.hi))
-		for i, v := range yf {
-			//trlint:checked GemvF64 clamps every code to the step's [lo, hi]
-			out.data[i] = int32(v)
-		}
-	case st.pack8lin != nil:
-		// GEMV-shaped packed dispatch: offset the input into the u8
-		// domain (padding the odd-k tap with 128, the offset zero) and
-		// run the packed panels against it with the requant fused. In
-		// practice the float64 lane above shadows this arm — packed
-		// admission implies f64 admission — so it serves plans whose
-		// f64 copies were disabled, and the batched lane (linear8.go)
-		// where the real win lives.
-		p.pm.dispatchLinear8.Inc()
-		pa := st.pack8lin
-		xu := s.bx[:2*pa.KQ]
-		kernels.OffsetU8(xu[:st.cols], in.data)
-		if st.cols < len(xu) {
-			xu[st.cols] = 128
-		}
-		kernels.Gemv8Rows(out.data, pa, xu, 0, pa.MP, st.mult, st.lo, st.hi)
-	case st.gemmOK:
-		p.gemv(s, out.data, st.weights, in.data, st.bias, st.rows, st.cols)
-		for i, acc := range out.data {
-			out.data[i] = requant(int64(acc), st.mult, st.lo, st.hi)
-		}
-	default:
+	if st.wf64 == nil {
 		p.pm.dispatchDirect.Inc()
 		execLinearDirect(st, in, out)
+		s.put(in.data)
+		return out, nil
+	}
+	xf := s.xf[:st.cols]
+	for i, v := range in.data {
+		xf[i] = float64(v)
+	}
+	yf := s.yf[:st.rows]
+	p.gemvF64(s, yf, st.wf64, xf, st.bf64, st.rows, st.cols,
+		st.mult, float64(st.lo), float64(st.hi))
+	for i, v := range yf {
+		//trlint:checked GemvF64 clamps every code to the step's [lo, hi]
+		out.data[i] = int32(v)
 	}
 	s.put(in.data)
 	return out, nil
 }
 
 // execLinearDirect is the 64-bit fallback and golden reference for the
-// GEMV paths.
+// linear kernels.
 func execLinearDirect(st step, in, out activation) {
 	for r := 0; r < st.rows; r++ {
 		acc := int64(st.bias[r])

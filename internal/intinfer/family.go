@@ -91,7 +91,6 @@ func (f *Family) share() {
 	top := f.plans[len(f.plans)-1]
 	for _, p := range f.plans[:len(f.plans)-1] {
 		top.maxAct = max(top.maxAct, p.maxAct)
-		top.maxCol = max(top.maxCol, p.maxCol)
 		top.staged = top.staged || p.staged
 		top.maxPackB = max(top.maxPackB, p.maxPackB)
 		top.maxLin = max(top.maxLin, p.maxLin)
@@ -101,7 +100,6 @@ func (f *Family) share() {
 	pool := &sync.Pool{New: func() any { return top.newScratch() }}
 	for _, p := range f.plans {
 		p.maxAct = top.maxAct
-		p.maxCol = top.maxCol
 		p.staged = top.staged
 		p.maxPackB = top.maxPackB
 		p.maxLin = top.maxLin

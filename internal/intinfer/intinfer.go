@@ -30,10 +30,12 @@ import (
 	"repro/internal/term"
 )
 
+// weightBits is the width of the deployed weight codes: 8, as in the
+// paper, and as .trq artifacts store them.
+const weightBits = 8
+
 // Options configures the compilation.
 type Options struct {
-	// WeightBits for the uniform quantization step (8 in the paper).
-	WeightBits int
 	// GroupSize/GroupBudget, when GroupBudget > 0, term-reveal the weight
 	// codes at build time (HESE encoding).
 	GroupSize, GroupBudget int
@@ -96,33 +98,31 @@ type step struct {
 	outScale   float32 // sy: static output scale
 	rows, cols int     // linear dims (rows=out, cols=in)
 	mult       float64 // requant multiplier sw·sx/sy, fixed at build
-	gemmOK     bool    // int32 accumulation proven overflow-free
 	// Post-requant clamp bounds. [-127, 127] by default; a ReLU folded
 	// into this step at compile time raises lo to 0 (and lowers hi to the
 	// relu6-style cap), which is bit-identical to running the ReLU as its
 	// own pass over the requantized codes.
 	lo, hi int32
-	// Float64 copies of the codes for the linear fast path: float64
-	// multiplies dual-issue on the FP ports while int32 multiplies are
-	// confined to one, and kernels.ExactF64 proves the arithmetic stays
-	// integer-exact, so results are bit-identical to the int32 kernel.
+	// Float64 copies of the codes for the single-column linear kernel:
+	// float64 multiplies dual-issue on the FP ports while int32
+	// multiplies are confined to one, and kernels.ExactF64 proves the
+	// arithmetic stays integer-exact, so results are bit-identical to
+	// the int64 reference.
 	wf64, bf64 []float64
 	// pack8[g] is group g's weight matrix in packed panel form for the
 	// int8 SIMD GEMM, built once at compile time; nil when the conv was
 	// not admitted (kernels.AccumFitsU8, or an input too large for a
-	// gather table).
+	// gather table), which leaves the step on the direct loop.
 	pack8 []*kernels.PackedA
 	// gather packs a packed conv's B panels straight from one group's
 	// input slice (im2col + PackB compiled into one table). It depends
 	// only on geometry, so steps and Family rungs share one per geometry.
 	gather *kernels.ConvGather
 	// pack8lin is the linear analogue: the weight matrix in packed
-	// panel form when kernels.AccumFitsU8 admits it. Batched inference
-	// runs B images through it as one M×B×K GEMM (the n=1 objection to
-	// packing linears — 15/16 of each 16-wide panel wasted — vanishes
-	// once the batch supplies the columns); single-image dispatch keeps
-	// preferring the float64 express kernels, with Gemv8Rows as the
-	// packed GEMV shape behind them.
+	// panel form when kernels.AccumFitsU8 admits it. A plan whose every
+	// linear has one runs the batched lane (batchable), which is its only
+	// reader: B ≥ 2 images as one M×B×K GEMM. A single column would waste
+	// 15/16 of every 16-wide panel, so one image takes the float64 GEMV.
 	pack8lin *kernels.PackedA
 	// tile is the autotuned blocking geometry for the packed kernels
 	// (zero value = unblocked). Tiles never change results, only memory
@@ -161,12 +161,10 @@ type Plan struct {
 
 	// Arena geometry, fixed by finalize at build time.
 	maxAct       int  // largest activation (elements) any step produces
-	maxCol       int  // largest per-group im2col patch matrix (elements)
 	maxPackB     int  // largest packed B panel buffer (bytes, packed path)
 	staged       bool // some conv gathers its B (scratch carries a GatherStage)
 	maxLin       int  // widest buffer a float64-path linear step touches
 	lin8Buf      int  // offset-u8/code matrix capacity of the packed linear lane
-	express      bool // whole plan is flatten + float64-path linears
 	linear8      bool // whole plan is flatten + packed linears (batched int8 lane)
 	bufCount     int  // activation buffers one inference needs concurrently
 	intraWorkers int
@@ -193,9 +191,6 @@ func (p *Plan) GroupBudget() int { return p.groupBudget }
 // normalizeOptions applies the compilation defaults and validates the
 // pieces Build and BuildFamily share.
 func normalizeOptions(opts *Options) error {
-	if opts.WeightBits == 0 {
-		opts.WeightBits = 8
-	}
 	if len(opts.Calibration) == 0 {
 		return fmt.Errorf("intinfer: calibration images required")
 	}
@@ -280,7 +275,7 @@ func fuseActivations(steps []step) []step {
 }
 
 // finalize sizes the scratch arena: it simulates the step chain's shapes
-// to find the largest activation and im2col buffer, counts how many
+// to find the largest activation and packed-panel buffer, counts how many
 // activation buffers one inference holds concurrently (residual branches
 // pin extra buffers), and arms the pool.
 func (p *Plan) finalize(opts Options) {
@@ -288,13 +283,9 @@ func (p *Plan) finalize(opts Options) {
 	p.sizeChain(p.steps, p.inC, p.inH, p.inW)
 	p.bufCount = chainBufs(p.steps, 0)
 	p.prepareF64(p.steps)
-	p.express = expressible(p.steps)
 	p.linear8 = batchable(p.steps)
 	p.tuneSteps(p.steps)
-	p.sizeLinear8(p.steps)
-	if p.maxCol == 0 {
-		p.maxCol = 1 // keep the slice non-nil paths trivial
-	}
+	p.sizeLinear8()
 	p.intraWorkers = opts.IntraWorkers
 	if p.intraWorkers < 1 {
 		p.intraWorkers = runtime.GOMAXPROCS(0)
@@ -329,7 +320,8 @@ func batchable(steps []step) bool {
 // tuneSteps asks the autotuner for a tile per packed step, keyed by the
 // geometry the kernel will actually run: per-group dimensions for
 // convs (whose B the gather packs, so only MR is tuned), the
-// micro-batch column count for batch-lane linears. Tile
+// micro-batch column count for the linears of a linear8 plan (no other
+// plan runs a packed linear). Tile
 // choice never affects results (kernels.Tile), so a plan built with a
 // cold cache and one built with a warm cache are bit-identical — the
 // warm build just skips the measurement.
@@ -341,12 +333,8 @@ func (p *Plan) tuneSteps(steps []step) {
 			g := st.geom
 			st.tile = autotune.Pick(autotune.Geometry{M: g.outC / g.groups,
 				K: (g.inC / g.groups) * g.kh * g.kw, N: g.outH * g.outW, Conv: true})
-		case st.kind == kindLinear && st.pack8lin != nil:
-			n := 1
-			if p.linear8 {
-				n = linear8Cols
-			}
-			st.tile = autotune.Pick(autotune.Geometry{M: st.rows, K: st.cols, N: n})
+		case st.kind == kindLinear && p.linear8:
+			st.tile = autotune.Pick(autotune.Geometry{M: st.rows, K: st.cols, N: linear8Cols})
 		case st.kind == kindResidual:
 			p.tuneSteps(st.body)
 			if st.proj != nil {
@@ -356,57 +344,40 @@ func (p *Plan) tuneSteps(steps []step) {
 	}
 }
 
-// sizeLinear8 sizes the packed-linear lane's scratch buffers: the
-// offset-u8 ping-pong matrices and the int32 code matrix hold up to
-// max(k rounded up to the tap-pair depth, m) rows by linear8Cols
-// columns (one column on plans that only ever dispatch the GEMV
-// shape), and the PackB panel buffer must fit the widest batched
-// layer.
-func (p *Plan) sizeLinear8(steps []step) {
-	for i := range steps {
-		st := &steps[i]
-		switch st.kind {
-		case kindLinear:
-			if st.pack8lin == nil {
-				continue
-			}
-			cols := linear8Cols
-			if !p.linear8 {
-				cols = 1
-			}
-			dim := (st.cols + 1) / 2 * 2 // odd k pads one 128 tap
-			if st.rows > dim {
-				dim = st.rows
-			}
-			if dim*cols > p.lin8Buf {
-				p.lin8Buf = dim * cols
-			}
-			if p.linear8 {
-				if pb := kernels.PackBSize(st.cols, linear8Cols); pb > p.maxPackB {
-					p.maxPackB = pb
-				}
-			}
-		case kindResidual:
-			p.sizeLinear8(st.body)
-			if st.proj != nil {
-				p.sizeLinear8(st.proj)
-			}
+// sizeLinear8 sizes a linear8 plan's scratch buffers: the offset-u8
+// ping-pong matrices and the int32 code matrix hold up to max(k rounded
+// up to the tap-pair depth, m) rows by linear8Cols columns, and the
+// PackB panel buffer must fit the widest layer. A linear8 plan is flat
+// (flattens and linears only), so the top-level steps are all of it.
+func (p *Plan) sizeLinear8() {
+	if !p.linear8 {
+		return
+	}
+	for i := range p.steps {
+		st := &p.steps[i]
+		if st.kind != kindLinear {
+			continue
 		}
+		dim := (st.cols + 1) / 2 * 2 // odd k pads one 128 tap
+		if st.rows > dim {
+			dim = st.rows
+		}
+		p.lin8Buf = max(p.lin8Buf, dim*linear8Cols)
+		p.maxPackB = max(p.maxPackB, kernels.PackBSize(st.cols, linear8Cols))
 	}
 }
 
 // prepareF64 materializes float64 copies of every admissible linear
 // step's codes and records the widest such input for the scratch arena's
 // conversion buffer. Admission requires the dot product to stay exactly
-// representable in float64 (kernels.ExactF64) — a strictly weaker bound
-// than the int32 one, so every gemmOK linear step qualifies.
+// representable in float64 (kernels.ExactF64); a step that fails it runs
+// the direct int64 loop.
 func (p *Plan) prepareF64(steps []step) {
 	for i := range steps {
 		st := &steps[i]
 		switch st.kind {
 		case kindLinear:
-			if !st.gemmOK ||
-				!kernels.ExactF64(st.cols, maxAbs32(st.weights), 127, maxAbs32(st.bias)) {
+			if !kernels.ExactF64(st.cols, maxAbs32(st.weights), 127, maxAbs32(st.bias)) {
 				continue
 			}
 			st.wf64 = make([]float64, len(st.weights))
@@ -432,27 +403,6 @@ func (p *Plan) prepareF64(steps []step) {
 	}
 }
 
-// expressible reports whether a plan can run entirely on the float64
-// express lane: nothing but shape-only flattens and float64-path linear
-// steps, with at least one linear. Such plans keep the activation as
-// integral float64 codes from the quantizer through the logits.
-func expressible(steps []step) bool {
-	linears := 0
-	for i := range steps {
-		switch steps[i].kind {
-		case kindFlatten:
-		case kindLinear:
-			if steps[i].wf64 == nil {
-				return false
-			}
-			linears++
-		default:
-			return false
-		}
-	}
-	return linears > 0
-}
-
 func (p *Plan) noteAct(n int) {
 	if n > p.maxAct {
 		p.maxAct = n
@@ -460,8 +410,8 @@ func (p *Plan) noteAct(n int) {
 }
 
 // sizeChain mirrors the shape propagation of exec, recording every
-// intermediate activation size and im2col footprint. It returns the
-// chain's output shape.
+// intermediate activation size and packed-panel footprint. It returns
+// the chain's output shape.
 func (p *Plan) sizeChain(steps []step, c, h, w int) (int, int, int) {
 	for i := range steps {
 		st := &steps[i]
@@ -470,21 +420,10 @@ func (p *Plan) sizeChain(steps []step, c, h, w int) (int, int, int) {
 			g := st.geom
 			c, h, w = g.outC, g.outH, g.outW
 			p.noteAct(c * h * w)
-			kk := (g.inC / g.groups) * g.kh * g.kw
-			n := g.outH * g.outW
-			pointwise := g.kh == 1 && g.kw == 1 && g.stride == 1 && g.pad == 0
-			switch {
-			case st.pack8 != nil:
-				// Packed path: the gather writes B panels through the
-				// stage; the int32 im2col buffer is never touched.
+			if st.pack8 != nil {
+				// The gather writes B panels through the stage.
 				p.staged = true
-				if pb := st.gather.Len(); pb > p.maxPackB {
-					p.maxPackB = pb
-				}
-			case st.gemmOK && !pointwise:
-				if col := kk * n; col > p.maxCol {
-					p.maxCol = col
-				}
+				p.maxPackB = max(p.maxPackB, st.gather.Len())
 			}
 		case kindLinear:
 			c, h, w = st.rows, 1, 1
@@ -801,19 +740,11 @@ func maxAbs32(v []int32) int64 {
 	return m
 }
 
-// admitGemm decides at build time whether a k-deep dot product over the
-// step's weight codes can accumulate in int32 (activation codes are
-// always clamped to |x| ≤ 127). If not, exec falls back to the direct
-// 64-bit loops.
-func admitGemm(weights, bias []int32, k int) bool {
-	return kernels.AccumFits(k, maxAbs32(weights), 127, maxAbs32(bias))
-}
-
 func compileConv(v *nn.Conv2D, opts Options, sx, sy float32, gathers gatherCache) (step, error) {
 	g := v.Geom
 	kk := (g.InC / g.Groups) * g.KH * g.KW
 	codes, sw := quantizeWeightRows(v.Weight.W.Data, g.OutC, kk,
-		opts.WeightBits, opts.GroupSize, opts.GroupBudget)
+		weightBits, opts.GroupSize, opts.GroupBudget)
 	st := step{kind: kindConv, name: v.Name(),
 		geom: &convGeom{inC: g.InC, inH: g.InH, inW: g.InW, outC: g.OutC,
 			kh: g.KH, kw: g.KW, stride: g.Stride, pad: g.Pad,
@@ -827,10 +758,7 @@ func compileConv(v *nn.Conv2D, opts Options, sx, sy float32, gathers gatherCache
 			st.bias[i] = sat32(math.Round(float64(b) / acc))
 		}
 	}
-	st.gemmOK = admitGemm(st.weights, st.bias, kk)
-	if st.gemmOK {
-		packConvWeights(&st, kk, gathers)
-	}
+	packConvWeights(&st, kk, gathers)
 	return st, nil
 }
 
@@ -839,8 +767,8 @@ func compileConv(v *nn.Conv2D, opts Options, sx, sy float32, gathers gatherCache
 // Admission (kernels.AccumFitsU8) depends on each group's
 // compensated-bias magnitude, which only the pack itself computes, so
 // packing is speculative: if any group fails the bound, or the input is
-// too large for a gather table, pack8 stays nil and the step keeps the
-// scalar GEMM path.
+// too large for a gather table, pack8 stays nil and the step runs the
+// direct int64 loop.
 func packConvWeights(st *step, kk int, gathers gatherCache) {
 	g := st.geom
 	oPerG := g.outC / g.groups
@@ -861,7 +789,7 @@ func packConvWeights(st *step, kk int, gathers gatherCache) {
 
 func compileLinear(v *nn.Linear, opts Options, sx, sy float32) (step, error) {
 	codes, sw := quantizeWeightRows(v.Weight.W.Data, v.Out, v.In,
-		opts.WeightBits, opts.GroupSize, opts.GroupBudget)
+		weightBits, opts.GroupSize, opts.GroupBudget)
 	st := step{kind: kindLinear, name: v.Name(), rows: v.Out, cols: v.In,
 		weights: codes, inScale: sx, wScale: sw, outScale: sy,
 		mult: float64(sw) * float64(sx) / float64(sy), lo: -127, hi: 127}
@@ -870,16 +798,13 @@ func compileLinear(v *nn.Linear, opts Options, sx, sy float32) (step, error) {
 	for i, b := range v.Bias.W.Data {
 		st.bias[i] = sat32(math.Round(float64(b) / acc))
 	}
-	st.gemmOK = admitGemm(st.weights, st.bias, v.In)
-	if st.gemmOK {
-		// Speculative packed admission, mirroring packConvWeights: the
-		// compensated-bias magnitude only the pack computes decides
-		// kernels.AccumFitsU8, so pack first and keep the panels only if
-		// the bound holds.
-		pa := kernels.PackA(st.weights, st.bias, v.Out, v.In)
-		if kernels.AccumFitsU8(v.In, maxAbs32(st.weights), pa.BiasMax()) {
-			st.pack8lin = pa
-		}
+	// Speculative packed admission, mirroring packConvWeights: the
+	// compensated-bias magnitude only the pack computes decides
+	// kernels.AccumFitsU8, so pack first and keep the panels only if the
+	// bound holds.
+	pa := kernels.PackA(st.weights, st.bias, v.Out, v.In)
+	if kernels.AccumFitsU8(v.In, maxAbs32(st.weights), pa.BiasMax()) {
+		st.pack8lin = pa
 	}
 	return st, nil
 }

@@ -8,7 +8,7 @@ import (
 	"repro/internal/qsim"
 )
 
-func trainedMLP(t *testing.T) (*models.ImageModel, *datasets.ImageDataset, *datasets.ImageDataset) {
+func trainedMLP(t testing.TB) (*models.ImageModel, *datasets.ImageDataset, *datasets.ImageDataset) {
 	t.Helper()
 	train := datasets.DigitsNoisy(600, 0.2, 71)
 	test := datasets.DigitsNoisy(200, 0.2, 72)

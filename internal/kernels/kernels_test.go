@@ -5,8 +5,9 @@ import (
 	"testing"
 )
 
-// naiveConv is the reference the GEMM lowering must match bit-for-bit:
-// the direct 6-deep convolution loop over a single group.
+// naiveConv is the direct 6-deep convolution loop over a single group,
+// the anchor of the test references: refIm2col + Gemm must match it bit
+// for bit, and the gather tables are pinned against refIm2col.
 func naiveConv(src, w, bias []int32, c, h, wid, outC, kh, kw, stride, pad, outH, outW int) []int32 {
 	out := make([]int32, outC*outH*outW)
 	kk := c * kh * kw
@@ -67,7 +68,7 @@ func TestIm2colGemmMatchesNaiveConv(t *testing.T) {
 		want := naiveConv(src, w, bias, g.c, g.h, g.w, g.outC, g.kh, g.kw, g.stride, g.pad, outH, outW)
 
 		col := make([]int32, kk*n)
-		Im2col(col, src, g.c, g.h, g.w, g.kh, g.kw, g.stride, g.pad, outH, outW)
+		refIm2col(col, src, g.c, g.h, g.w, g.kh, g.kw, g.stride, g.pad, outH, outW)
 		got := make([]int32, g.outC*n)
 		Gemm(got, w, col, bias, g.outC, n, kk)
 		for i := range want {
@@ -100,41 +101,64 @@ func TestGemmNilBiasAndOddRows(t *testing.T) {
 	}
 }
 
-func TestDotAndGemvRows(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for _, k := range []int{0, 1, 3, 4, 5, 8, 17, 144} {
-		a := randCodes(rng, k)
-		x := randCodes(rng, k)
-		var want int32
-		for i := range a {
-			want += a[i] * x[i]
+// Gemm is the scalar int32 GEMM reference the packed kernels are pinned
+// against: dst = bias ⊕ A·B where A is m×k (weights, row-major), B is
+// k×n (im2col patches, row-major) and dst is m×n; bias[i] seeds every
+// element of row i (bias may be nil for a zero seed). It is blocked
+// four output rows at a time. Accumulation is int32, so callers keep
+// k·|w|·|x| + |bias| within int32.
+func Gemm(dst, a, b, bias []int32, m, n, k int) {
+	i := 0
+	for ; i+4 <= m; i += 4 {
+		d0 := dst[(i+0)*n:][:n]
+		d1 := dst[(i+1)*n:][:n]
+		d2 := dst[(i+2)*n:][:n]
+		d3 := dst[(i+3)*n:][:n]
+		var b0, b1, b2, b3 int32
+		if bias != nil {
+			b0, b1, b2, b3 = bias[i], bias[i+1], bias[i+2], bias[i+3]
 		}
-		if got := Dot(a, x); got != want {
-			t.Fatalf("Dot k=%d: got %d want %d", k, got, want)
+		for j := 0; j < n; j++ {
+			d0[j], d1[j], d2[j], d3[j] = b0, b1, b2, b3
 		}
-	}
-	m, k := 7, 17
-	a := randCodes(rng, m*k)
-	x := randCodes(rng, k)
-	bias := randCodes(rng, m)
-	dst := make([]int32, m)
-	GemvRows(dst, a, x, bias, 0, m, k)
-	for r := 0; r < m; r++ {
-		want := bias[r]
+		a0 := a[(i+0)*k:][:k]
+		a1 := a[(i+1)*k:][:k]
+		a2 := a[(i+2)*k:][:k]
+		a3 := a[(i+3)*k:][:k]
 		for q := 0; q < k; q++ {
-			want += a[r*k+q] * x[q]
-		}
-		if dst[r] != want {
-			t.Fatalf("GemvRows row %d: got %d want %d", r, dst[r], want)
+			w0, w1, w2, w3 := a0[q], a1[q], a2[q], a3[q]
+			if w0 == 0 && w1 == 0 && w2 == 0 && w3 == 0 {
+				continue
+			}
+			brow := b[q*n:][:n]
+			for j := 0; j < n; j++ {
+				x := brow[j]
+				d0[j] += w0 * x
+				d1[j] += w1 * x
+				d2[j] += w2 * x
+				d3[j] += w3 * x
+			}
 		}
 	}
-}
-
-func TestAccumFits(t *testing.T) {
-	if !AccumFits(1<<16, 127, 127, 1<<20) {
-		t.Error("64K-deep int8 dot should fit int32")
-	}
-	if AccumFits(1<<18, 32767, 127, 0) {
-		t.Error("deep 16-bit-weight dot must not claim to fit")
+	for ; i < m; i++ {
+		d := dst[i*n:][:n]
+		var bi int32
+		if bias != nil {
+			bi = bias[i]
+		}
+		for j := 0; j < n; j++ {
+			d[j] = bi
+		}
+		ar := a[i*k:][:k]
+		for q := 0; q < k; q++ {
+			w := ar[q]
+			if w == 0 {
+				continue
+			}
+			brow := b[q*n:][:n]
+			for j := 0; j < n; j++ {
+				d[j] += w * brow[j]
+			}
+		}
 	}
 }

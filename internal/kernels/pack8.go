@@ -2,13 +2,11 @@ package kernels
 
 import "math"
 
-// Packed int8 GEMM path. The scalar Gemm keeps weights and im2col
-// patches as int32 slices and leaves requantization to the caller; the
-// packed path instead repacks each weight matrix once at plan-build
-// time into microkernel-shaped panels, carries the activations as
-// offset-u8 bytes, and fuses the requantization epilogue into the
-// 4×16 register tile, so per-image work is one pass over int8-range
-// data with no int32 round-trip buffer. A conv never materializes its
+// Packed int8 GEMM path. Each weight matrix is repacked once at
+// plan-build time into microkernel-shaped panels, the activations are
+// carried as offset-u8 bytes, and the requantization epilogue is fused
+// into the 4×16 register tile, so per-image work is one pass over
+// int8-range data with no int32 round-trip buffer. A conv never materializes its
 // patch matrix: a gather table compiled at plan build (ConvGather)
 // writes the B panels straight from the input activation.
 //
@@ -36,7 +34,7 @@ import "math"
 // the compensated bias both fit int32 under AccumFitsU8, VPMADDWD is
 // exact on (≤255)×(≤127) pairs, and the epilogue performs the same
 // float64 multiply/magic-round/clamp sequence as the scalar requant,
-// so the packed path is bit-identical to Gemm + requant.
+// so the packed path is bit-identical to an int64 GEMM + requant.
 
 // PackedA is a weight matrix in packed panel form, built once at plan
 // time by PackA and shared read-only by every inference.
@@ -98,9 +96,9 @@ func (pa *PackedA) BiasMax() int64 { return pa.biasMax }
 // AccumFitsU8 reports whether the packed kernel's int32 accumulator is
 // overflow-free: B entries are offset-u8 codes bounded by 255, so a
 // k-deep dot against |w| ≤ wmax plus a compensated bias of magnitude ≤
-// biasMax must satisfy k·255·wmax + biasMax ≤ MaxInt32. This is the
-// packed analogue of AccumFits (and strictly stronger, so every packed
-// step could also run the scalar int32 path).
+// biasMax must satisfy k·255·wmax + biasMax ≤ MaxInt32. It bounds the
+// offset representation's full range, so it also bounds the plain
+// k·127·wmax int32 dot product.
 func AccumFitsU8(k int, wmax, biasMax int64) bool {
 	return int64(k)*255*wmax+biasMax <= math.MaxInt32
 }

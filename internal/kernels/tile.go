@@ -1,9 +1,6 @@
 package kernels
 
-import (
-	"fmt"
-	"strconv"
-)
+import "strconv"
 
 // TuneVersion identifies the packed-kernel generation for the autotune
 // disk cache (internal/kernels/autotune). Bump it whenever a change to
@@ -118,47 +115,4 @@ func Gemm8Blocks(dst []int32, pa *PackedA, pb []uint8, n, mr int, mult float64, 
 func Gemm8Tuned(dst []int32, pa *PackedA, u8, pb []uint8, n int, t Tile, mult float64, lo, hi int32) {
 	PackBBlocked(pb, u8, pa.K, n, t.NR, t.KC)
 	Gemm8Blocks(dst, pa, pb, n, t.MR, mult, lo, hi)
-}
-
-// Gemv8Rows is the n=1 (GEMV-shaped) packed linear kernel: dst rows
-// 4·p0 … min(4·p1, m) receive requant(bias ⊕ A·x) as int8-range codes.
-// xu is the input vector in the offset-u8 domain, padded to 2·KQ
-// entries with 128 for odd k (the offset image of zero, which cancels
-// against the pack's zero tap). The accumulation and the requant are
-// the same int32 + float64 sequence as the gemm8 tile kernels, so the
-// result is bit-identical to the scalar GemvRows + requant composition
-// under AccumFitsU8. Portable on every build — a single output column
-// would waste 15/16 of the 16-wide SIMD tile, so there is no assembly
-// twin to dispatch to.
-func Gemv8Rows(dst []int32, pa *PackedA, xu []uint8, p0, p1 int, mult float64, lo, hi int32) {
-	gemv8Portable.Inc()
-	kq := pa.KQ
-	if len(xu) < 2*kq {
-		panic(fmt.Sprintf("kernels: Gemv8Rows input has %d entries, want %d", len(xu), 2*kq))
-	}
-	flo, fhi := float64(lo), float64(hi)
-	for p := p0; p < p1; p++ {
-		apanel := pa.data[p*kq*8:][:kq*8]
-		var acc [4]int32
-		for q := 0; q < kq; q++ {
-			x0, x1 := int32(xu[2*q]), int32(xu[2*q+1])
-			aa := apanel[q*8:][:8]
-			for r := 0; r < 4; r++ {
-				acc[r] += int32(aa[r*2])*x0 + int32(aa[r*2+1])*x1
-			}
-		}
-		rows := pa.M - 4*p
-		if rows > 4 {
-			rows = 4
-		}
-		for r := 0; r < rows; r++ {
-			f := float64(acc[r]+pa.bias[4*p+r])*mult + roundMagic - roundMagic
-			if f > fhi {
-				f = fhi
-			} else if f < flo {
-				f = flo
-			}
-			dst[4*p+r] = int32(f)
-		}
-	}
 }

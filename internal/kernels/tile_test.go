@@ -129,124 +129,3 @@ func TestGemm8TunedMatchesGemmRequant(t *testing.T) {
 		}
 	}
 }
-
-// TestGemv8RowsMatchesGemmRequant is the packed GEMV differential:
-// PackA + offset + Gemv8Rows must equal the scalar n=1 GEMM followed by
-// scalar requant, bit for bit, across every m%4 remainder and odd/even
-// k (the odd tail exercises the 128 pad tap).
-func TestGemv8RowsMatchesGemmRequant(t *testing.T) {
-	rng := rand.New(rand.NewSource(71))
-	for _, m := range []int{1, 2, 3, 4, 5, 10, 64} {
-		for _, k := range []int{1, 2, 9, 27, 144} {
-			w := randCodes(rng, m*k)
-			bias := make([]int32, m)
-			for i := range bias {
-				bias[i] = int32(rng.Intn(20001) - 10000)
-			}
-			x := randCodes(rng, k)
-			mult := 1.0 / float64(1+rng.Intn(200))
-			lo, hi := int32(-127), int32(127)
-			if rng.Intn(2) == 0 {
-				lo = 0
-			}
-			ref := make([]int32, m)
-			Gemm(ref, w, x, bias, m, 1, k)
-			for i, v := range ref {
-				ref[i] = refRequant(v, mult, lo, hi)
-			}
-
-			pa := PackA(w, bias, m, k)
-			xu := make([]uint8, 2*pa.KQ)
-			OffsetU8(xu[:k], x)
-			if k < len(xu) {
-				xu[k] = 128 // odd-k pad: the offset image of zero
-			}
-			got := make([]int32, m)
-			Gemv8Rows(got, pa, xu, 0, pa.MP, mult, lo, hi)
-			for i := range ref {
-				if got[i] != ref[i] {
-					t.Fatalf("m=%d k=%d: row %d: packed=%d, ref=%d", m, k, i, got[i], ref[i])
-				}
-			}
-		}
-	}
-}
-
-// TestGemv8RowsPanelPartition: disjoint panel ranges compose to the full
-// vector, the property row-partitioned dispatch would rely on.
-func TestGemv8RowsPanelPartition(t *testing.T) {
-	rng := rand.New(rand.NewSource(73))
-	m, k := 11, 18
-	w := randCodes(rng, m*k)
-	bias := randCodes(rng, m)
-	x := randCodes(rng, k)
-	pa := PackA(w, bias, m, k)
-	xu := make([]uint8, 2*pa.KQ)
-	OffsetU8(xu[:k], x)
-	mult, lo, hi := 0.031, int32(-127), int32(127)
-
-	whole := make([]int32, m)
-	Gemv8Rows(whole, pa, xu, 0, pa.MP, mult, lo, hi)
-	parts := make([]int32, m)
-	for p := 0; p < pa.MP; p++ {
-		Gemv8Rows(parts, pa, xu, p, p+1, mult, lo, hi)
-	}
-	for i := range whole {
-		if whole[i] != parts[i] {
-			t.Fatalf("row %d: whole=%d, per-panel=%d", i, whole[i], parts[i])
-		}
-	}
-}
-
-// TestGemv8RowsSaturationBoundary drives the accumulator to the largest
-// magnitudes AccumFitsU8 admits — max-magnitude weights against
-// max-offset activations with a bias near the int32 rim — and checks
-// the packed GEMV against the scalar reference at the extremes.
-func TestGemv8RowsSaturationBoundary(t *testing.T) {
-	const m, k = 4, 32
-	w := make([]int32, m*k)
-	for i := range w {
-		if i%2 == 0 {
-			w[i] = 127
-		} else {
-			w[i] = -127
-		}
-	}
-	x := make([]int32, k)
-	for i := range x {
-		x[i] = 127 // offset-u8 image 255, the admission bound's worst case
-	}
-	bias := []int32{2146000000, -2146000000, 0, 1}
-	pa := PackA(w, bias, m, k)
-	if !AccumFitsU8(k, 127, pa.BiasMax()) {
-		t.Fatalf("boundary geometry not admitted: k=%d wmax=127 biasMax=%d", k, pa.BiasMax())
-	}
-
-	ref := make([]int32, m)
-	Gemm(ref, w, x, bias, m, 1, k)
-	for i, v := range ref {
-		ref[i] = refRequant(v, 1e-7, -127, 127)
-	}
-	xu := make([]uint8, 2*pa.KQ)
-	OffsetU8(xu[:k], x)
-	got := make([]int32, m)
-	Gemv8Rows(got, pa, xu, 0, pa.MP, 1e-7, -127, 127)
-	for i := range ref {
-		if got[i] != ref[i] {
-			t.Fatalf("row %d: packed=%d, ref=%d", i, got[i], ref[i])
-		}
-	}
-}
-
-// TestGemv8RowsShortInputPanics pins the guard: an input shorter than
-// the padded 2·KQ tap count must refuse to run rather than read stale
-// ping-pong bytes.
-func TestGemv8RowsShortInputPanics(t *testing.T) {
-	pa := PackA(make([]int32, 4*9), make([]int32, 4), 4, 9)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Gemv8Rows accepted a short input vector")
-		}
-	}()
-	Gemv8Rows(make([]int32, 4), pa, make([]uint8, 9), 0, pa.MP, 1, -127, 127)
-}
