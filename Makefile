@@ -55,10 +55,12 @@
 #                over: the drain, swap and batching-window tests are
 #                timing-sensitive, so one clean pass is not evidence
 #   make perfbench-check  the end-to-end benchmark's harness tests, then
-#                a short closed_cnn run that must print "correct":true:
-#                every served class equals the library's class for that
-#                image and rung, an end-to-end bit-identity gate for the
-#                conv lane
+#                a short closed_cnn run and a short offline_mlp run that
+#                must each print "correct":true: every served class
+#                equals the library's class for that image and rung, and
+#                every offline batch-64 prediction equals single-image
+#                Classify, an end-to-end bit-identity gate for both
+#                models on the batched lane
 
 GO ?= go
 
@@ -155,3 +157,5 @@ perfbench-check:
 	@mkdir -p .bench_build
 	python3 perfbench/run.py --workload closed_cnn --seed 1 --seconds 4 --trace 0 | tee .bench_build/perfbench-check.out
 	grep -q '"correct":true' .bench_build/perfbench-check.out
+	python3 perfbench/run.py --workload offline_mlp --seed 1 --seconds 4 --trace 0 | tee .bench_build/perfbench-check-mlp.out
+	grep -q '"correct":true' .bench_build/perfbench-check-mlp.out

@@ -17,7 +17,7 @@ import (
 // and linear steps lose their packed panels and float64 copies, so exec
 // takes execConvDirect / execLinearDirect with 64-bit accumulation.
 func forceDirect(p *Plan) {
-	p.linear8 = false
+	p.chunk = 0
 	var walk func(steps []step)
 	walk = func(steps []step) {
 		for i := range steps {
@@ -137,7 +137,8 @@ func countPack8(steps []step) int {
 // width at plan level: a conv whose input exceeds kernels.MaxGatherSrc
 // gets no packed panels and no table and dispatches the direct loop,
 // while a smaller conv of the same plan packs, and the plan still
-// matches the direct reference bit for bit.
+// matches the direct reference bit for bit. Such a plan stays off the
+// batched lane, so its head keeps no packed panels either.
 func TestOversizedConvInputStaysUnpacked(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	conv := func(label string, inC, h, w, outC int) *nn.Conv2D {
@@ -170,10 +171,18 @@ func TestOversizedConvInputStaysUnpacked(t *testing.T) {
 			if st.pack8 == nil || st.gather == nil {
 				t.Fatal("conv within the table's index width was not packed")
 			}
+		case "fc":
+			seen++
+			if st.pack8lin != nil {
+				t.Fatal("head of a plan off the batched lane kept packed panels")
+			}
 		}
 	}
-	if seen != 2 {
-		t.Fatalf("found %d of the 2 conv steps", seen)
+	if seen != 3 {
+		t.Fatalf("found %d of the 3 weight steps", seen)
+	}
+	if fast.chunk != 0 {
+		t.Fatalf("plan with an unpacked conv admitted to the batched lane (chunk %d)", fast.chunk)
 	}
 	assertSameLogits(t, fast, direct, ds.Images[4:], "oversized")
 

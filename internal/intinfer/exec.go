@@ -15,10 +15,14 @@ import (
 )
 
 // activation is the integer tensor flowing between steps: int32 codes at
-// the step's static scale, with a spatial shape for conv/pool stages.
+// the step's static scale, with a spatial shape for conv/pool stages,
+// for one image or, batch-innermost, for a chunk of b images (see
+// batch.go). A chunk's quantized input reaches a leading linear as its
+// offset-u8 matrix u8 instead, with data nil.
 type activation struct {
 	data    []int32
-	c, h, w int // spatial shape; c*h*w == len(data) while spatial
+	u8      []uint8
+	c, h, w int // spatial shape; c*h*w*b == len(data) while spatial
 	flat    bool
 }
 
@@ -26,9 +30,10 @@ type activation struct {
 // a free list of equally sized activation buffers, the packed-GEMM
 // operands (the gather stage, which holds a packed conv's input as
 // offset-u8 bytes, and the B panels), the float64 GEMV vectors and the
-// batched linear lane's matrices. One scratch serves one in-flight
-// Infer; Plan recycles them through a sync.Pool so steady-state
-// inference performs no heap allocations after warmup.
+// batched lane's offset-u8 matrix. Buffers are sized for a whole chunk
+// when the plan batches. One scratch serves one in-flight inference;
+// Plan recycles them through a sync.Pool so steady-state inference
+// performs no heap allocations after warmup.
 //
 // Buffer discipline inside exec: in-place steps (ReLU, flatten) return
 // their input buffer; every other step gets an output buffer from the
@@ -45,8 +50,7 @@ type scratch struct {
 	stage   *kernels.GatherStage
 	bpack   []uint8   // packed B panels (packed int8 GEMM path)
 	xf, yf  []float64 // input and output codes of a GemvF64 step
-	bx, by  []uint8   // ping-pong offset-u8 matrices (packed linear lane)
-	lin32   []int32   // code matrix of the current packed-linear layer
+	u8      []uint8   // a batched linear's k×b offset-u8 B operand (and the chunk quantizer's output)
 	wg      sync.WaitGroup
 	workers int          // intra-image worker budget for this inference
 	stop    *atomic.Bool // cooperative cancellation flag; nil when unused
@@ -56,8 +60,7 @@ func (p *Plan) newScratch() *scratch {
 	p.pm.scratchNew.Inc()
 	s := &scratch{free: make([][]int32, p.bufCount), bufCap: p.maxAct,
 		xf: make([]float64, p.maxLin), yf: make([]float64, p.maxLin),
-		bpack: make([]uint8, p.maxPackB), lin32: make([]int32, p.lin8Buf),
-		bx: make([]uint8, p.lin8Buf), by: make([]uint8, p.lin8Buf)}
+		bpack: make([]uint8, p.maxPackB), u8: make([]uint8, p.u8Buf)}
 	if p.staged {
 		s.stage = new(kernels.GatherStage)
 	}
@@ -147,32 +150,25 @@ func (p *Plan) run(img []float32, s *scratch) (activation, error) {
 		return activation{}, fmt.Errorf("intinfer: image has %d values, want %d",
 			len(img), p.inC*p.inH*p.inW)
 	}
-	// Input quantizer: the only float-to-int boundary. Dividing by the
-	// scale is hoisted to a reciprocal multiply, and rounding uses the
-	// 2^52 magic-constant trick (see roundMagic). ±Inf saturates like
-	// any out-of-range value; NaN fails both clamps, so it is mapped to
-	// code 0 explicitly rather than left to int32(NaN), whose value Go
-	// leaves implementation-defined.
+	// Input quantizer: the only float-to-int boundary (see quantize).
 	act := activation{data: s.get(len(img)), c: p.inC, h: p.inH, w: p.inW}
 	dst := act.data[:len(img)]
 	inv := 1 / float64(p.inScale)
 	for i, v := range img {
-		c := float64(v)*inv + roundMagic - roundMagic
-		if c > 127 {
-			c = 127
-		} else if c < -127 {
-			c = -127
-		} else if math.IsNaN(c) {
-			c = 0
-		}
-		dst[i] = int32(c)
+		dst[i] = quantize(v, inv)
 	}
+	return p.runSteps(act, 1, s)
+}
+
+// runSteps executes the step chain over an activation of b images,
+// polling the stop flag before every step.
+func (p *Plan) runSteps(act activation, b int, s *scratch) (activation, error) {
 	for i := range p.steps {
 		if s.stopped() {
 			return activation{}, errStopped
 		}
 		var err error
-		act, err = p.execStep(i, act, s)
+		act, err = p.execStep(i, act, b, s)
 		if err != nil {
 			return activation{}, fmt.Errorf("intinfer: step %s: %w", p.steps[i].name, err)
 		}
@@ -261,8 +257,8 @@ func (p *Plan) InferBatch(images [][]float32) ([]int, error) {
 // cancellation surfaces as errStopped for the ctx-aware wrappers to
 // translate; real failures come back wrapped with the image index.
 func (p *Plan) inferBatchSerial(images [][]float32, stop *atomic.Bool) ([]int, error) {
-	if p.linear8 {
-		return p.inferBatchLinear8(images, stop)
+	if p.chunk > 0 {
+		return p.inferBatchChunks(images, stop)
 	}
 	preds := make([]int, len(images))
 	s := p.scratch(p.intraWorkers, stop)
@@ -313,16 +309,6 @@ func (p *Plan) Accuracy(images [][]float32, labels []int) (float64, error) {
 // |v| < 2^51; anything larger lands outside the clamp range anyway.
 const roundMagic = 1.5 * (1 << 52)
 
-func clamp8(v int32) int32 {
-	if v > 127 {
-		return 127
-	}
-	if v < -127 {
-		return -127
-	}
-	return v
-}
-
 // code8 clamps an integral float64 to the int8 code window and converts.
 // Clamping happens in the float domain, so a value beyond int32 range
 // (e.g. an extreme shortcut rescale) saturates instead of hitting Go's
@@ -350,12 +336,13 @@ func sat32(v float64) int32 {
 	return int32(v)
 }
 
-func (p *Plan) exec(st step, in activation, s *scratch) (activation, error) {
+// exec runs one step over an activation of b images.
+func (p *Plan) exec(st step, in activation, b int, s *scratch) (activation, error) {
 	switch st.kind {
 	case kindConv:
-		return p.execConv(st, in, s)
+		return p.execConv(st, in, b, s)
 	case kindLinear:
-		return p.execLinear(st, in, s)
+		return p.execLinear(st, in, b, s)
 	case kindReLU:
 		for i, v := range in.data {
 			if v < 0 {
@@ -366,11 +353,11 @@ func (p *Plan) exec(st step, in activation, s *scratch) (activation, error) {
 		}
 		return in, nil
 	case kindMaxPool:
-		return execMaxPool(st, in, s)
+		return execMaxPool(st, in, b, s)
 	case kindGAP:
-		return execGAP(in, s)
+		return execGAP(in, b, s)
 	case kindResidual:
-		return p.execResidual(st, in, s)
+		return p.execResidual(st, in, b, s)
 	case kindFlatten:
 		in.flat = true
 		return in, nil
@@ -380,66 +367,73 @@ func (p *Plan) exec(st step, in activation, s *scratch) (activation, error) {
 }
 
 // execResidual runs both branches (at the same target scale) and adds
-// their codes; the identity shortcut rescales from the input scale to the
-// target. Saturating to int8 matches the requantizer on the main path.
-// The skip-add happens in place in the body's buffer.
-func (p *Plan) execResidual(st step, in activation, s *scratch) (activation, error) {
+// their codes; the identity shortcut rescales the input from its scale
+// to the target through the step's table. The sum is clamped to the
+// step's [lo, hi] window: [-127, 127], which matches the requantizer on
+// the main path, or [0, cap] when a following ReLU was folded in
+// (fuseActivations). The skip-add happens in place in the body's
+// buffer.
+func (p *Plan) execResidual(st step, in activation, b int, s *scratch) (activation, error) {
 	// Branches consume independent copies of the activation (steps may
 	// mutate in place, e.g. ReLU).
 	body := activation{data: s.get(len(in.data)), c: in.c, h: in.h, w: in.w}
 	copy(body.data, in.data)
 	var err error
 	for _, sub := range st.body {
-		body, err = p.exec(sub, body, s)
+		body, err = p.exec(sub, body, b, s)
 		if err != nil {
 			return in, err
 		}
 	}
-	var skip activation
+	skip := in
 	if st.proj != nil {
 		skip = activation{data: s.get(len(in.data)), c: in.c, h: in.h, w: in.w}
 		copy(skip.data, in.data)
 		for _, sub := range st.proj {
-			skip, err = p.exec(sub, skip, s)
+			skip, err = p.exec(sub, skip, b, s)
 			if err != nil {
 				return in, err
 			}
-		}
-	} else {
-		// Identity shortcut: rescale codes to the target scale.
-		ratio := float64(st.shortcutScale) / float64(st.targetScale)
-		skip = activation{data: s.get(len(in.data)), c: in.c, h: in.h, w: in.w}
-		for i, v := range in.data {
-			skip.data[i] = code8(math.RoundToEven(float64(v) * ratio))
 		}
 	}
 	if len(body.data) != len(skip.data) {
 		return in, fmt.Errorf("residual branches disagree: %d vs %d values",
 			len(body.data), len(skip.data))
 	}
-	for i := range body.data {
-		body.data[i] = clamp8(body.data[i] + skip.data[i])
+	lo, hi, sum := st.lo, st.hi, body.data[:len(skip.data)]
+	if st.proj != nil {
+		for i, v := range skip.data {
+			sum[i] = min(max(sum[i]+v, lo), hi)
+		}
+		s.put(skip.data)
+	} else {
+		for i, v := range in.data {
+			sum[i] = min(max(sum[i]+st.rescale[uint8(v)], lo), hi) //trlint:checked a code's low byte indexes its rescaled value
+		}
 	}
-	s.put(skip.data)
 	s.put(in.data)
 	return body, nil
 }
 
 // execGAP averages each channel plane with round-half-even; the scale is
-// unchanged, so no requantization is needed.
-func execGAP(in activation, s *scratch) (activation, error) {
+// unchanged, so no requantization is needed. Its c×b output is a
+// batched head's B operand as it stands.
+func execGAP(in activation, b int, s *scratch) (activation, error) {
 	if in.h == 0 || in.w == 0 {
 		return in, fmt.Errorf("GAP on non-spatial activation")
 	}
 	spatial := in.h * in.w
-	out := activation{data: s.get(in.c), flat: true}
+	out := activation{data: s.get(in.c * b), flat: true}
 	for c := 0; c < in.c; c++ {
-		var sum int64
-		for i := 0; i < spatial; i++ {
-			sum += int64(in.data[c*spatial+i])
+		plane := in.data[c*spatial*b:][:spatial*b]
+		for j := 0; j < b; j++ {
+			var sum int64
+			for i := j; i < len(plane); i += b {
+				sum += int64(plane[i])
+			}
+			// The mean of int8-range codes stays in the code window.
+			out.data[c*b+j] = code8(math.RoundToEven(float64(sum) / float64(spatial)))
 		}
-		// The mean of int8-range codes stays in the code window.
-		out.data[c] = code8(math.RoundToEven(float64(sum) / float64(spatial)))
 	}
 	s.put(in.data)
 	return out, nil
@@ -544,16 +538,20 @@ func gemvF64Chunk(wg *sync.WaitGroup, stop *atomic.Bool, dst, a, x, bias []float
 }
 
 // execConv runs a packed conv as one gather pass plus the packed GEMM
-// per group, and any conv the build did not pack (kernels.AccumFitsU8,
-// or an input too large for a gather table) on the direct loop with
-// 64-bit accumulation.
-func (p *Plan) execConv(st step, in activation, s *scratch) (activation, error) {
+// per group, over all b images of the activation at once, and any conv
+// the build did not pack (kernels.AccumFitsU8, or an input too large
+// for a gather table) on the direct loop with 64-bit accumulation — one
+// image only, since the batched lane admits packed convs alone.
+func (p *Plan) execConv(st step, in activation, b int, s *scratch) (activation, error) {
 	g := st.geom
 	if in.c != g.inC || in.h != g.inH || in.w != g.inW {
 		return in, fmt.Errorf("conv input %dx%dx%d, want %dx%dx%d",
 			in.c, in.h, in.w, g.inC, g.inH, g.inW)
 	}
-	out := activation{data: s.get(g.outC * g.outH * g.outW),
+	if st.pack8 == nil && b > 1 {
+		return in, fmt.Errorf("conv is not packed, so it cannot run a chunk")
+	}
+	out := activation{data: s.get(g.outC * g.outH * g.outW * b),
 		c: g.outC, h: g.outH, w: g.outW}
 	if st.pack8 == nil {
 		p.pm.dispatchDirect.Inc()
@@ -564,13 +562,15 @@ func (p *Plan) execConv(st step, in activation, s *scratch) (activation, error) 
 	// One gather pass writes the group's microkernel panels from its
 	// input slice, and the requantization runs fused inside the kernel's
 	// register tile — out.data receives final codes with no int32
-	// round-trip pass.
-	cPerG := g.inC / g.groups
+	// round-trip pass. Batch-innermost, group grp's input and output
+	// are contiguous slices, and column s·b + j of its GEMM is output
+	// pixel s of image j.
+	src := g.inC / g.groups * g.inH * g.inW * b
 	oPerG := g.outC / g.groups
-	n := g.outH * g.outW
-	pb := s.bpack[:st.gather.Len()]
+	n := g.outH * g.outW * b
+	pb := s.bpack[:st.gather.Len(b)]
 	for grp := 0; grp < g.groups; grp++ {
-		st.gather.Pack(pb, in.data[grp*cPerG*g.inH*g.inW:][:cPerG*g.inH*g.inW], s.stage)
+		st.gather.Pack(pb, in.data[grp*src:][:src], b, s.stage)
 		p.pm.dispatchGemm8.Inc()
 		p.gemm8(s, out.data[grp*oPerG*n:][:oPerG*n], st.pack8[grp], pb,
 			n, st.tile.MR, st.mult, st.lo, st.hi)
@@ -617,12 +617,28 @@ func execConvDirect(st step, in, out activation) {
 	}
 }
 
-// execLinear runs one image's linear step: the float64 GEMV with the
-// requant fused when kernels.ExactF64 admitted the step (bit-identical
-// to the direct loop), otherwise the direct loop.
-func (p *Plan) execLinear(st step, in activation, s *scratch) (activation, error) {
-	if len(in.data) != st.cols {
-		return in, fmt.Errorf("linear input %d values, want %d", len(in.data), st.cols)
+// execLinear runs a linear step. A chunk of b ≥ 2 images is one packed
+// M×b×K GEMM over the chunk's offset-u8 matrix; one image runs the
+// float64 GEMV with the requant fused when kernels.ExactF64 admitted the
+// step (bit-identical to the direct loop), otherwise the direct loop.
+func (p *Plan) execLinear(st step, in activation, b int, s *scratch) (activation, error) {
+	if got := len(in.data) + len(in.u8); got != st.cols*b {
+		return in, fmt.Errorf("linear input %d values, want %d", got/b, st.cols)
+	}
+	if b > 1 {
+		if st.pack8lin == nil {
+			return in, fmt.Errorf("linear is not packed, so it cannot run a chunk")
+		}
+		u8 := in.u8
+		if u8 == nil {
+			u8 = s.u8[:st.cols*b]
+			kernels.OffsetU8(u8, in.data)
+		}
+		out := activation{data: s.get(st.rows * b), flat: true}
+		p.pm.dispatchLinear8.Inc()
+		p.gemm8Batch(s, out.data, st.pack8lin, u8, b, st.tile, st.mult, st.lo, st.hi)
+		s.put(in.data)
+		return out, nil
 	}
 	out := activation{data: s.get(st.rows), flat: true}
 	if st.wf64 == nil {
@@ -659,24 +675,28 @@ func execLinearDirect(st step, in, out activation) {
 	}
 }
 
-func execMaxPool(st step, in activation, s *scratch) (activation, error) {
+// execMaxPool takes each window's maximum, for each of the b images of
+// the activation.
+func execMaxPool(st step, in activation, b int, s *scratch) (activation, error) {
 	oh := (in.h-st.k)/st.stride + 1
 	ow := (in.w-st.k)/st.stride + 1
-	out := activation{data: s.get(in.c * oh * ow), c: in.c, h: oh, w: ow}
+	out := activation{data: s.get(in.c * oh * ow * b), c: in.c, h: oh, w: ow}
 	for c := 0; c < in.c; c++ {
-		plane := in.data[c*in.h*in.w:]
+		plane := in.data[c*in.h*in.w*b:]
 		for py := 0; py < oh; py++ {
 			for px := 0; px < ow; px++ {
-				best := int32(math.MinInt32)
+				best := out.data[((c*oh+py)*ow+px)*b:][:b]
+				for j := range best {
+					best[j] = math.MinInt32
+				}
 				for ky := 0; ky < st.k; ky++ {
 					iy := py*st.stride + ky
 					for kx := 0; kx < st.k; kx++ {
-						if v := plane[iy*in.w+px*st.stride+kx]; v > best {
-							best = v
+						for j, v := range plane[(iy*in.w+px*st.stride+kx)*b:][:b] {
+							best[j] = max(best[j], v)
 						}
 					}
 				}
-				out.data[(c*oh+py)*ow+px] = best
 			}
 		}
 	}
@@ -724,8 +744,8 @@ func (p *Plan) InferBatchParallel(images [][]float32, workers int) ([]int, error
 // workers went down but none recorded an error — the batch surfaces
 // errStopped for the wrapper to translate into the context's error.
 func (p *Plan) inferBatchParallel(images [][]float32, workers int, stop *atomic.Bool) ([]int, error) {
-	if p.linear8 {
-		return p.inferBatchLinear8Parallel(images, workers, stop)
+	if p.chunk > 0 {
+		return p.inferBatchChunksParallel(images, workers, stop)
 	}
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)

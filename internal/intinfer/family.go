@@ -94,7 +94,7 @@ func (f *Family) share() {
 		top.staged = top.staged || p.staged
 		top.maxPackB = max(top.maxPackB, p.maxPackB)
 		top.maxLin = max(top.maxLin, p.maxLin)
-		top.lin8Buf = max(top.lin8Buf, p.lin8Buf)
+		top.u8Buf = max(top.u8Buf, p.u8Buf)
 		top.bufCount = max(top.bufCount, p.bufCount)
 	}
 	pool := &sync.Pool{New: func() any { return top.newScratch() }}
@@ -103,7 +103,7 @@ func (f *Family) share() {
 		p.staged = top.staged
 		p.maxPackB = top.maxPackB
 		p.maxLin = top.maxLin
-		p.lin8Buf = top.lin8Buf
+		p.u8Buf = top.u8Buf
 		p.bufCount = top.bufCount
 		p.arena = pool
 	}

@@ -98,10 +98,11 @@ type step struct {
 	outScale   float32 // sy: static output scale
 	rows, cols int     // linear dims (rows=out, cols=in)
 	mult       float64 // requant multiplier sw·sx/sy, fixed at build
-	// Post-requant clamp bounds. [-127, 127] by default; a ReLU folded
-	// into this step at compile time raises lo to 0 (and lowers hi to the
-	// relu6-style cap), which is bit-identical to running the ReLU as its
-	// own pass over the requantized codes.
+	// Post-requant (conv / linear) or post-add (residual) clamp bounds.
+	// [-127, 127] by default; a ReLU folded into this step at compile
+	// time raises lo to 0 (and lowers hi to the relu6-style cap), which
+	// is bit-identical to running the ReLU as its own pass over the
+	// codes.
 	lo, hi int32
 	// Float64 copies of the codes for the single-column linear kernel:
 	// float64 multiplies dual-issue on the FP ports while int32
@@ -119,10 +120,10 @@ type step struct {
 	// only on geometry, so steps and Family rungs share one per geometry.
 	gather *kernels.ConvGather
 	// pack8lin is the linear analogue: the weight matrix in packed
-	// panel form when kernels.AccumFitsU8 admits it. A plan whose every
-	// linear has one runs the batched lane (batchable), which is its only
-	// reader: B ≥ 2 images as one M×B×K GEMM. A single column would waste
-	// 15/16 of every 16-wide panel, so one image takes the float64 GEMV.
+	// panel form when kernels.AccumFitsU8 admits it. The batched lane is
+	// its only reader (b ≥ 2 images as one M×b×K GEMM; a single column
+	// would waste 15/16 of every 16-wide panel, so one image takes the
+	// float64 GEMV), so finalize drops it from plans that do not batch.
 	pack8lin *kernels.PackedA
 	// tile is the autotuned blocking geometry for the packed kernels
 	// (zero value = unblocked). Tiles never change results, only memory
@@ -136,11 +137,10 @@ type step struct {
 	capCode int32
 
 	// residual: both branches produce codes at the residual's target
-	// scale; a nil proj means the identity shortcut, rescaled from
-	// shortcutScale to the target.
-	body, proj    []step
-	shortcutScale float32
-	targetScale   float32
+	// scale; a nil proj means the identity shortcut, whose input code c
+	// adds as rescale[uint8(c)], the code rescaled to the target.
+	body, proj []step
+	rescale    *[256]int32
 }
 
 type convGeom struct {
@@ -159,13 +159,17 @@ type Plan struct {
 	outScale      float32
 	groupBudget   int // the TR group budget the weights were revealed at
 
-	// Arena geometry, fixed by finalize at build time.
+	// chunk is the batched lane's chunk width (images per chunk), 0 when
+	// the plan runs image by image (chunkWidth).
+	chunk int
+
+	// Arena geometry, fixed by finalize at build time; sizes cover a
+	// whole chunk when the plan batches.
 	maxAct       int  // largest activation (elements) any step produces
 	maxPackB     int  // largest packed B panel buffer (bytes, packed path)
 	staged       bool // some conv gathers its B (scratch carries a GatherStage)
 	maxLin       int  // widest buffer a float64-path linear step touches
-	lin8Buf      int  // offset-u8/code matrix capacity of the packed linear lane
-	linear8      bool // whole plan is flatten + packed linears (batched int8 lane)
+	u8Buf        int  // offset-u8 matrix capacity of the batched lane
 	bufCount     int  // activation buffers one inference needs concurrently
 	intraWorkers int
 	// arena pools *scratch. It is a pointer so a Family can point every
@@ -243,13 +247,13 @@ func buildCalibrated(m *models.ImageModel, opts Options, scales map[string]float
 	return p, nil
 }
 
-// fuseActivations folds a ReLU that immediately follows a conv or linear
-// step into that step's requantization clamp, eliminating one pass over
-// the activation. Requantizing to [-127, 127] and then applying
-// ReLU/ReLU-cap is pointwise identical to a single clamp to
-// [0, min(cap, 127)], so the fusion is bit-exact. Residual branches are
-// fused recursively; a ReLU that follows any other step kind (pool,
-// residual add) stays a standalone pass.
+// fuseActivations folds a ReLU that immediately follows a conv, linear
+// or residual step into that step's clamp — the requantization's, or
+// the residual add's — eliminating one pass over the activation.
+// Clamping to [-127, 127] and then applying ReLU/ReLU-cap is pointwise
+// identical to a single clamp to [0, min(cap, 127)], so the fusion is
+// bit-exact. Residual branches are fused recursively; a ReLU that
+// follows any other step kind (pool, flatten) stays a standalone pass.
 func fuseActivations(steps []step) []step {
 	out := steps[:0]
 	for i := 0; i < len(steps); i++ {
@@ -260,7 +264,7 @@ func fuseActivations(steps []step) []step {
 				st.proj = fuseActivations(st.proj)
 			}
 		}
-		if (st.kind == kindConv || st.kind == kindLinear) &&
+		if (st.kind == kindConv || st.kind == kindLinear || st.kind == kindResidual) &&
 			i+1 < len(steps) && steps[i+1].kind == kindReLU {
 			relu := steps[i+1]
 			st.lo = 0
@@ -274,18 +278,27 @@ func fuseActivations(steps []step) []step {
 	return out
 }
 
-// finalize sizes the scratch arena: it simulates the step chain's shapes
-// to find the largest activation and packed-panel buffer, counts how many
-// activation buffers one inference holds concurrently (residual branches
-// pin extra buffers), and arms the pool.
+// finalize admits the plan to the batched lane (chunkWidth), dropping
+// packed linear panels that only that lane reads from a plan it does
+// not admit; sizes the scratch arena: it simulates the step chain's
+// shapes to find the largest activation and packed-panel buffer at the
+// chunk width, and counts how many activation buffers one inference
+// holds concurrently (residual branches pin extra buffers); picks tiles;
+// and arms the pool.
 func (p *Plan) finalize(opts Options) {
-	p.maxAct = p.inC * p.inH * p.inW
-	p.sizeChain(p.steps, p.inC, p.inH, p.inW)
-	p.bufCount = chainBufs(p.steps, 0)
 	p.prepareF64(p.steps)
-	p.linear8 = batchable(p.steps)
+	p.chunk = chunkWidth(p.steps)
+	if p.chunk == 0 {
+		dropPackedLinears(p.steps)
+	}
+	b := max(p.chunk, 1)
+	p.maxAct = p.inC * p.inH * p.inW * b
+	if p.chunk > 0 {
+		p.u8Buf = p.maxAct // the chunk quantizer's output
+	}
+	p.sizeChain(p.steps, p.inC, p.inH, p.inW, b)
+	p.bufCount = chainBufs(p.steps, 0)
 	p.tuneSteps(p.steps)
-	p.sizeLinear8()
 	p.intraWorkers = opts.IntraWorkers
 	if p.intraWorkers < 1 {
 		p.intraWorkers = runtime.GOMAXPROCS(0)
@@ -295,75 +308,41 @@ func (p *Plan) finalize(opts Options) {
 	p.arena = &sync.Pool{New: func() any { return p.newScratch() }}
 }
 
-// batchable reports whether a plan can run whole micro-batches on the
-// packed int8 lane: nothing but shape-only flattens and packed-admitted
-// linear steps, with at least one linear. Such plans carry a k×B
-// offset-u8 activation matrix between layers and run each layer as one
-// M×B×K GEMM instead of B GEMVs.
-func batchable(steps []step) bool {
-	linears := 0
+// dropPackedLinears clears the packed panels of every linear in a plan
+// the batched lane does not admit: nothing else reads them.
+func dropPackedLinears(steps []step) {
 	for i := range steps {
-		switch steps[i].kind {
-		case kindFlatten:
-		case kindLinear:
-			if steps[i].pack8lin == nil {
-				return false
-			}
-			linears++
-		default:
-			return false
+		steps[i].pack8lin = nil
+		if steps[i].kind == kindResidual {
+			dropPackedLinears(steps[i].body)
+			dropPackedLinears(steps[i].proj)
 		}
 	}
-	return linears > 0
 }
 
 // tuneSteps asks the autotuner for a tile per packed step, keyed by the
-// geometry the kernel will actually run: per-group dimensions for
-// convs (whose B the gather packs, so only MR is tuned), the
-// micro-batch column count for the linears of a linear8 plan (no other
-// plan runs a packed linear). Tile
-// choice never affects results (kernels.Tile), so a plan built with a
-// cold cache and one built with a warm cache are bit-identical — the
-// warm build just skips the measurement.
+// geometry the kernel will actually run: per-group dimensions for convs
+// (whose B the gather packs, so only MR is tuned) at the chunk's column
+// count b·outH·outW, and the chunk width for the linears of a batched
+// plan (no other plan runs a packed linear). Tile choice never affects
+// results (kernels.Tile), so a plan built with a cold cache and one
+// built with a warm cache are bit-identical — the warm build just skips
+// the measurement.
 func (p *Plan) tuneSteps(steps []step) {
+	b := max(p.chunk, 1)
 	for i := range steps {
 		st := &steps[i]
 		switch {
 		case st.kind == kindConv && st.pack8 != nil:
 			g := st.geom
 			st.tile = autotune.Pick(autotune.Geometry{M: g.outC / g.groups,
-				K: (g.inC / g.groups) * g.kh * g.kw, N: g.outH * g.outW, Conv: true})
-		case st.kind == kindLinear && p.linear8:
-			st.tile = autotune.Pick(autotune.Geometry{M: st.rows, K: st.cols, N: linear8Cols})
+				K: (g.inC / g.groups) * g.kh * g.kw, N: g.outH * g.outW * b, Conv: true})
+		case st.kind == kindLinear && p.chunk > 0:
+			st.tile = autotune.Pick(autotune.Geometry{M: st.rows, K: st.cols, N: p.chunk})
 		case st.kind == kindResidual:
 			p.tuneSteps(st.body)
-			if st.proj != nil {
-				p.tuneSteps(st.proj)
-			}
+			p.tuneSteps(st.proj)
 		}
-	}
-}
-
-// sizeLinear8 sizes a linear8 plan's scratch buffers: the offset-u8
-// ping-pong matrices and the int32 code matrix hold up to max(k rounded
-// up to the tap-pair depth, m) rows by linear8Cols columns, and the
-// PackB panel buffer must fit the widest layer. A linear8 plan is flat
-// (flattens and linears only), so the top-level steps are all of it.
-func (p *Plan) sizeLinear8() {
-	if !p.linear8 {
-		return
-	}
-	for i := range p.steps {
-		st := &p.steps[i]
-		if st.kind != kindLinear {
-			continue
-		}
-		dim := (st.cols + 1) / 2 * 2 // odd k pads one 128 tap
-		if st.rows > dim {
-			dim = st.rows
-		}
-		p.lin8Buf = max(p.lin8Buf, dim*linear8Cols)
-		p.maxPackB = max(p.maxPackB, kernels.PackBSize(st.cols, linear8Cols))
 	}
 }
 
@@ -409,37 +388,40 @@ func (p *Plan) noteAct(n int) {
 	}
 }
 
-// sizeChain mirrors the shape propagation of exec, recording every
-// intermediate activation size and packed-panel footprint. It returns
-// the chain's output shape.
-func (p *Plan) sizeChain(steps []step, c, h, w int) (int, int, int) {
+// sizeChain mirrors the shape propagation of exec over activations of b
+// images, recording every intermediate activation size and packed-panel
+// footprint. It returns the chain's output shape.
+func (p *Plan) sizeChain(steps []step, c, h, w, b int) (int, int, int) {
 	for i := range steps {
 		st := &steps[i]
 		switch st.kind {
 		case kindConv:
 			g := st.geom
 			c, h, w = g.outC, g.outH, g.outW
-			p.noteAct(c * h * w)
+			p.noteAct(c * h * w * b)
 			if st.pack8 != nil {
 				// The gather writes B panels through the stage.
 				p.staged = true
-				p.maxPackB = max(p.maxPackB, st.gather.Len())
+				p.maxPackB = max(p.maxPackB, st.gather.Len(b))
 			}
 		case kindLinear:
 			c, h, w = st.rows, 1, 1
-			p.noteAct(st.rows)
+			p.noteAct(st.rows * b)
+			if b > 1 {
+				// A batched linear stages its input as offset-u8 and packs it.
+				p.u8Buf = max(p.u8Buf, st.cols*b)
+				p.maxPackB = max(p.maxPackB, kernels.PackBSize(st.cols, b))
+			}
 		case kindMaxPool:
 			h = (h-st.k)/st.stride + 1
 			w = (w-st.k)/st.stride + 1
-			p.noteAct(c * h * w)
+			p.noteAct(c * h * w * b)
 		case kindGAP:
 			h, w = 1, 1
-			p.noteAct(c)
+			p.noteAct(c * b)
 		case kindResidual:
-			bc, bh, bw := p.sizeChain(st.body, c, h, w)
-			if st.proj != nil {
-				p.sizeChain(st.proj, c, h, w)
-			}
+			bc, bh, bw := p.sizeChain(st.body, c, h, w, b)
+			p.sizeChain(st.proj, c, h, w, b)
 			c, h, w = bc, bh, bw
 		}
 	}
@@ -450,7 +432,8 @@ func (p *Plan) sizeChain(steps []step, c, h, w int) (int, int, int) {
 // executes, given `held` buffers pinned by enclosing residuals. A chain
 // always owns its current activation (+1); out-of-place steps briefly
 // hold input and output together (+2); a residual pins its input while
-// its branches run, then holds input, body result and skip at the add.
+// its branches run, then holds input, body result and the projection's
+// result at the add (an identity shortcut adds straight from the input).
 func chainBufs(steps []step, held int) int {
 	peak := held + 2 // current activation + one out-of-place output
 	for i := range steps {
@@ -466,8 +449,6 @@ func chainBufs(steps []step, held int) int {
 			if b := chainBufs(st.proj, held+2); b > peak {
 				peak = b
 			}
-		} else if held+3 > peak { // input + body + identity skip
-			peak = held + 3
 		}
 	}
 	return peak
@@ -650,9 +631,17 @@ func (c *compiler) compileResidual(r *nn.Residual, inScale, target float32) (ste
 	if err != nil {
 		return step{}, err
 	}
-	st := step{kind: kindResidual, name: r.Name(), body: body,
-		shortcutScale: inScale, targetScale: target}
-	if r.Proj != nil {
+	st := step{kind: kindResidual, name: r.Name(), body: body, lo: -127, hi: 127}
+	if r.Proj == nil {
+		// Rescale every code to the target scale once, rounding half to
+		// even with the requant's magic constant, so the add reads a
+		// table instead of converting each element.
+		ratio := float64(inScale) / float64(target)
+		st.rescale = new([256]int32)
+		for c := -127; c <= 127; c++ {
+			st.rescale[uint8(c)] = code8(float64(c)*ratio + roundMagic - roundMagic) //trlint:checked a code's low byte indexes its rescaled value
+		}
+	} else {
 		pseq, ok := r.Proj.(*nn.Sequential)
 		if !ok {
 			return step{}, fmt.Errorf("intinfer: residual projection must be a Sequential")

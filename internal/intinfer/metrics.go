@@ -100,22 +100,23 @@ func (p *Plan) initMetrics(r *obs.Registry) {
 	r.Gauge("trq_intinfer_plan_arena_buffers").Set(int64(p.bufCount))
 }
 
-// execStep runs top-level step i, and — when observability is on —
-// times it into the step's latency histogram and tags the execution
-// with a runtime/pprof "layer" label so CPU profile samples attribute
-// to plan steps.
-func (p *Plan) execStep(i int, in activation, s *scratch) (activation, error) {
+// execStep runs top-level step i over an activation of b images, and —
+// when observability is on — times it into the step's latency histogram
+// (one observation per image, or per chunk on the batched lane) and
+// tags the execution with a runtime/pprof "layer" label so CPU profile
+// samples attribute to plan steps.
+func (p *Plan) execStep(i int, in activation, b int, s *scratch) (activation, error) {
 	if !p.pm.enabled {
-		return p.exec(p.steps[i], in, s)
+		return p.exec(p.steps[i], in, b, s)
 	}
 	start := time.Now()
 	var out activation
 	var err error
 	if p.pm.labels {
 		pprof.Do(context.Background(), pprof.Labels("layer", p.steps[i].name),
-			func(context.Context) { out, err = p.exec(p.steps[i], in, s) })
+			func(context.Context) { out, err = p.exec(p.steps[i], in, b, s) })
 	} else {
-		out, err = p.exec(p.steps[i], in, s)
+		out, err = p.exec(p.steps[i], in, b, s)
 	}
 	p.pm.stepLatency[i].Observe(time.Since(start).Seconds())
 	return out, err

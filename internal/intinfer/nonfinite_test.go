@@ -13,8 +13,10 @@ import (
 )
 
 // lanePair is one plan shape with its direct-reference twin. The MLP
-// covers the batched linear8 lane and the per-image float64 GEMV; the
-// CNN covers the gather + packed GEMM convs and the GEMV head.
+// covers the batched lane's linears and the per-image float64 GEMV; the
+// VGG CNN covers the gather + packed GEMM convs, pooling and the head in
+// both lanes; the ResNet covers the residual adds and their folded
+// ReLUs in both lanes.
 type lanePair struct {
 	name         string
 	fast, direct *Plan
@@ -25,7 +27,7 @@ func buildLanePairs(tb testing.TB) []lanePair {
 	tb.Helper()
 	m, train, test := trainedMLP(tb)
 	mlp, mlpDirect := buildPair(tb, m, Options{Calibration: train.Images[:32]})
-	if !mlp.linear8 {
+	if mlp.chunk == 0 {
 		tb.Fatal("MLP plan was not admitted to the batched linear lane")
 	}
 	g := models.CNNGeom{InC: 3, InH: 8, InW: 8, Classes: 4}
@@ -33,12 +35,16 @@ func buildLanePairs(tb testing.TB) []lanePair {
 	qsim.FoldBatchNorm(cm)
 	ds := datasets.ImageClasses(96, g.Classes, g.InC, g.InH, g.InW, 48)
 	cnn, cnnDirect := buildPair(tb, cm, Options{Calibration: ds.Images[:16]})
-	if countPack8(cnn.steps) == 0 {
-		tb.Fatal("conv plan has no packed step")
+	rm := models.NewResNetStyle(g, 49)
+	qsim.FoldBatchNorm(rm)
+	resnet, resnetDirect := buildPair(tb, rm, Options{Calibration: ds.Images[:16]})
+	if cnn.chunk == 0 || resnet.chunk == 0 {
+		tb.Fatal("conv plan was not admitted to the batched lane")
 	}
 	return []lanePair{
 		{"mlp", mlp, mlpDirect, test.Images},
 		{"cnn", cnn, cnnDirect, ds.Images[16:]},
+		{"resnet", resnet, resnetDirect, ds.Images[16:]},
 	}
 }
 
@@ -93,10 +99,10 @@ var nonFinite = []float32{
 
 // TestNonFiniteInputsAgreeAcrossLanes pins the semantics of NaN, ±Inf,
 // subnormal and huge pixels on every lane. The 65-image batch runs one
-// full linear8 chunk plus a one-image remainder on the MLP.
+// full batched chunk plus a one-image remainder on every plan.
 func TestNonFiniteInputsAgreeAcrossLanes(t *testing.T) {
 	for _, lp := range buildLanePairs(t) {
-		images := make([][]float32, linear8Cols+1)
+		images := make([][]float32, maxChunk+1)
 		for i := range images {
 			img := slices.Clone(lp.base[i%len(lp.base)])
 			v := nonFinite[i%len(nonFinite)]
@@ -120,7 +126,7 @@ func TestNonFiniteInputsAgreeAcrossLanes(t *testing.T) {
 // one pixel of a clean image: a little-endian uint16 position (modulo
 // the image size), then the float32 bits. No input may panic, and every
 // entry point must agree as in TestNonFiniteInputsAgreeAcrossLanes; the
-// pair batch puts the fuzzed image through linear8's batched quantizer.
+// pair batch puts the fuzzed image through the batched lane's quantizer.
 func FuzzClassify(f *testing.F) {
 	for _, v := range nonFinite {
 		seed := make([]byte, 0, 18)

@@ -1,9 +1,11 @@
 // Package autotune turns the packed-GEMM tile geometry into a measured
 // decision. At plan build, Pick microbenchmarks a small candidate set
 // of (MR, NR, KC) tiles (MR alone for convs) on a synthetic problem of
-// the layer's exact geometry and returns the fastest — any tile is
-// bit-identical (see kernels.Tile), so timing is the only axis. The winner is memoized in
-// process and persisted to a small JSON cache on disk keyed by
+// the layer's exact geometry — any tile is bit-identical (see
+// kernels.Tile), so timing is the only axis — and keeps the unblocked
+// tile unless a candidate beats it by a clear margin (choose). The pick
+// is memoized in process and persisted to a small JSON cache on disk
+// keyed by
 // (kernels.Features(), geometry) and versioned by kernels.TuneVersion,
 // so repeat plan builds — including trserve cold starts — pay a map
 // lookup instead of a measurement.
@@ -61,9 +63,20 @@ var candidates = []kernels.Tile{
 	{MR: 32, NR: 256, KC: 512},
 }
 
-// measureReps timed runs per candidate (after one warmup); the minimum
-// is the score, which rejects scheduler noise better than the mean.
-const measureReps = 3
+// Each candidate is scored as the minimum over measureReps timed reps
+// (after one warmup run), which rejects scheduler noise better than the
+// mean. A rep loops the candidate for at least repMin of wall time, so
+// a µs-sized problem is timed over hundreds of runs instead of one.
+const (
+	measureReps = 3
+	repMin      = 2 * time.Millisecond
+)
+
+// pickMargin is the lead a candidate needs over the unblocked tile to
+// replace it: its time per run must be below (1 − pickMargin) times the
+// unblocked tile's. Cold caches otherwise persist whichever tile the
+// noise favoured.
+const pickMargin = 0.05
 
 var (
 	mu sync.Mutex
@@ -150,7 +163,7 @@ func key(g Geometry) string {
 }
 
 // measure times every distinct normalized candidate on a synthetic
-// problem of geometry g and returns the fastest tile. A conv geometry
+// problem of geometry g and returns choose's pick. A conv geometry
 // times Gemm8Blocks over a B packed once up front, across the
 // candidates' MR values; a linear geometry times Gemm8Tuned, packing
 // included. The inputs are deterministic (no RNG, no time dependence)
@@ -186,8 +199,7 @@ func measure(g Geometry) kernels.Tile {
 		}
 	}
 
-	best := kernels.Tile{}
-	bestNs := int64(-1)
+	var scores []score
 	seen := make(map[kernels.Tile]bool, len(candidates))
 	for _, cand := range candidates {
 		if g.Conv {
@@ -198,17 +210,57 @@ func measure(g Geometry) kernels.Tile {
 			continue
 		}
 		seen[t] = true
-		run(t) // warmup
-		ns := int64(-1)
-		for rep := 0; rep < measureReps; rep++ {
-			t0 := time.Now()
-			run(t)
-			if d := time.Since(t0).Nanoseconds(); ns < 0 || d < ns {
-				ns = d
-			}
+		scores = append(scores, score{t, perRun(func() { run(t) })})
+	}
+	return choose(scores)
+}
+
+// score is one candidate's measured time per run, in nanoseconds.
+type score struct {
+	tile kernels.Tile
+	ns   float64
+}
+
+// choose is the pick rule over measured scores, scores[0] being the
+// unblocked tile (candidates leads with it): the fastest candidate
+// replaces the unblocked tile only when it leads by more than
+// pickMargin. A tie or a narrower lead keeps the unblocked tile.
+func choose(scores []score) kernels.Tile {
+	best := scores[0]
+	for _, sc := range scores[1:] {
+		if sc.ns < best.ns {
+			best = sc
 		}
-		if bestNs < 0 || ns < bestNs {
-			best, bestNs = t, ns
+	}
+	if best.ns < scores[0].ns*(1-pickMargin) {
+		return best.tile
+	}
+	return scores[0].tile
+}
+
+// perRun times f: one warmup run, then the run count n that fills
+// repMin, then the minimum time per run over measureReps reps of n runs.
+func perRun(f func()) float64 {
+	f()
+	n := 1
+	for {
+		t0 := time.Now()
+		for i := 0; i < n; i++ {
+			f()
+		}
+		if time.Since(t0) >= repMin {
+			break
+		}
+		n *= 2
+	}
+	best := 0.0
+	for rep := 0; rep < measureReps; rep++ {
+		t0 := time.Now()
+		for i := 0; i < n; i++ {
+			f()
+		}
+		if ns := float64(time.Since(t0).Nanoseconds()) / float64(n); rep == 0 || ns < best {
+			best = ns
 		}
 	}
 	return best

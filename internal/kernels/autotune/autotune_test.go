@@ -218,3 +218,29 @@ func TestConvPicksKeyedApart(t *testing.T) {
 		t.Fatalf("cache holds %d entries, want 2", len(c.Tiles))
 	}
 }
+
+// TestChooseKeepsUnblockedWithoutClearLead pins the pick rule on
+// synthetic timings: a candidate must beat the unblocked tile by more
+// than pickMargin to replace it.
+func TestChooseKeepsUnblockedWithoutClearLead(t *testing.T) {
+	unblocked := kernels.Tile{}
+	mr8 := kernels.Tile{MR: 8}
+	mr16 := kernels.Tile{MR: 16}
+	cases := []struct {
+		name   string
+		scores []score
+		want   kernels.Tile
+	}{
+		{"3% lead", []score{{unblocked, 100}, {mr8, 97}}, unblocked},
+		{"10% lead", []score{{unblocked, 100}, {mr8, 90}}, mr8},
+		{"tie", []score{{unblocked, 100}, {mr8, 100}}, unblocked},
+		{"unblocked fastest", []score{{unblocked, 100}, {mr8, 120}}, unblocked},
+		{"fastest of several", []score{{unblocked, 100}, {mr8, 92}, {mr16, 85}}, mr16},
+		{"only unblocked", []score{{unblocked, 100}}, unblocked},
+	}
+	for _, c := range cases {
+		if got := choose(c.scores); got != c.want {
+			t.Errorf("%s: choose picked %v, want %v", c.name, got, c.want)
+		}
+	}
+}

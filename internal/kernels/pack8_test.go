@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -147,15 +148,29 @@ func TestAccumFitsU8(t *testing.T) {
 }
 
 // packedIm2col is the two-pass reference the gather replaces:
-// PackB(OffsetU8(refIm2col(src))).
-func packedIm2col(src []int32, c, h, w, kh, kw, stride, pad, outH, outW int) []uint8 {
+// PackB(OffsetU8(refIm2col(src))) of a chunk of b images stored
+// batch-innermost (element e of image j at e·b + j); the patch matrix
+// puts image j's column s at column s·b + j.
+func packedIm2col(src []int32, b, c, h, w, kh, kw, stride, pad, outH, outW int) []uint8 {
 	k, n := c*kh*kw, outH*outW
+	img := make([]int32, c*h*w)
 	col := make([]int32, k*n)
-	refIm2col(col, src, c, h, w, kh, kw, stride, pad, outH, outW)
-	u8 := make([]uint8, k*n)
-	OffsetU8(u8, col)
-	pb := make([]uint8, PackBSize(k, n))
-	PackB(pb, u8, k, n)
+	batched := make([]int32, k*n*b)
+	for j := 0; j < b; j++ {
+		for e := range img {
+			img[e] = src[e*b+j]
+		}
+		refIm2col(col, img, c, h, w, kh, kw, stride, pad, outH, outW)
+		for r := 0; r < k; r++ {
+			for s := 0; s < n; s++ {
+				batched[r*n*b+s*b+j] = col[r*n+s]
+			}
+		}
+	}
+	u8 := make([]uint8, k*n*b)
+	OffsetU8(u8, batched)
+	pb := make([]uint8, PackBSize(k, n*b))
+	PackB(pb, u8, k, n*b)
 	return pb
 }
 
@@ -163,13 +178,15 @@ func packedIm2col(src []int32, c, h, w, kh, kw, stride, pad, outH, outW int) []u
 // against the two-pass reference over a geometry grid: strides 1–3,
 // pads 0–2, kernels 1/3/5 (and two non-square ones), odd and even
 // c·kh·kw, n off the 16-column grid, non-square inputs, and each
-// group's slice of a two-group input.
+// group's slice of a two-group input — for one image and for chunks of
+// 2–9 images, whose batched width b·n mostly falls off the 16-column
+// grid too.
 // One stage and one destination serve every case, so stale bytes from
 // a larger earlier pack must never leak into a smaller one.
 func TestConvGatherMatchesIm2colPackB(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	stage := new(GatherStage)
-	dst := make([]uint8, 1<<16)
+	dst := make([]uint8, 1<<17)
 	cases := 0
 	for _, c := range []int{1, 2, 3} {
 		for _, hw := range [][2]int{{5, 7}, {8, 8}, {9, 6}} {
@@ -187,26 +204,28 @@ func TestConvGatherMatchesIm2colPackB(t *testing.T) {
 						if g == nil {
 							t.Fatalf("c=%d %dx%d: no table for a small input", c, h, w)
 						}
-						const groups = 2
-						all := randCodes(rng, groups*c*h*w)
-						for grp := 0; grp < groups; grp++ {
-							src := all[grp*c*h*w:][:c*h*w]
-							want := packedIm2col(src, c, h, w, kh, kw, stride, pad, outH, outW)
-							if g.Len() != len(want) {
-								t.Fatalf("Len = %d, want %d", g.Len(), len(want))
-							}
-							for i := range dst {
-								dst[i] = 0xAA
-							}
-							g.Pack(dst, src, stage)
-							for i := range want {
-								if dst[i] != want[i] {
-									t.Fatalf("c=%d %dx%d k=%v s=%d p=%d group %d: byte %d: gather=%d, want %d",
-										c, h, w, kern, stride, pad, grp, i, dst[i], want[i])
+						for b := 1; b <= 9; b++ {
+							const groups = 2
+							all := randCodes(rng, groups*c*h*w*b)
+							for grp := 0; grp < groups; grp++ {
+								src := all[grp*c*h*w*b:][:c*h*w*b]
+								want := packedIm2col(src, b, c, h, w, kh, kw, stride, pad, outH, outW)
+								if g.Len(b) != len(want) {
+									t.Fatalf("Len(%d) = %d, want %d", b, g.Len(b), len(want))
 								}
-							}
-							if dst[len(want)] != 0xAA {
-								t.Fatalf("c=%d %dx%d k=%v s=%d p=%d: gather wrote past Len", c, h, w, kern, stride, pad)
+								for i := range dst[:len(want)+1] {
+									dst[i] = 0xAA
+								}
+								g.Pack(dst, src, b, stage)
+								for i := range want {
+									if dst[i] != want[i] {
+										t.Fatalf("c=%d %dx%d k=%v s=%d p=%d b=%d group %d: byte %d: gather=%d, want %d",
+											c, h, w, kern, stride, pad, b, grp, i, dst[i], want[i])
+									}
+								}
+								if dst[len(want)] != 0xAA {
+									t.Fatalf("c=%d %dx%d k=%v s=%d p=%d b=%d: gather wrote past Len", c, h, w, kern, stride, pad, b)
+								}
 							}
 						}
 						cases++
@@ -236,15 +255,49 @@ func TestConvGatherIndexWidth(t *testing.T) {
 	if g == nil {
 		t.Fatal("a MaxGatherSrc-element input got no table")
 	}
+	if g.MaxChunk() != 1 {
+		t.Fatalf("MaxChunk = %d for a full-width table, want 1", g.MaxChunk())
+	}
 	src := randCodes(rand.New(rand.NewSource(59)), h*w)
-	want := packedIm2col(src, 1, h, w, 3, 3, 1, 1, h, w)
-	got := make([]uint8, g.Len())
-	g.Pack(got, src, new(GatherStage))
+	want := packedIm2col(src, 1, 1, h, w, 3, 3, 1, 1, h, w)
+	got := make([]uint8, g.Len(1))
+	g.Pack(got, src, 1, new(GatherStage))
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("byte %d: gather=%d, want %d", i, got[i], want[i])
 		}
 	}
+}
+
+// TestConvGatherChunkEdge packs a chunk that fills the stage exactly,
+// (src+1)·b = 65,536: the last image's sentinel byte sits in the top
+// slot. One image more must be refused rather than read past the stage.
+func TestConvGatherChunkEdge(t *testing.T) {
+	const c, h, w, b = 3, 43, 127, 4 // src = 16,383
+	if (c*h*w+1)*b != 1<<16 {
+		t.Fatalf("(src+1)·b = %d, want 65536", (c*h*w+1)*b)
+	}
+	outH, outW := (h+2-3)/2+1, (w+2-3)/2+1
+	g := NewConvGather(c, h, w, 3, 3, 2, 1, outH, outW)
+	if g.MaxChunk() != b {
+		t.Fatalf("MaxChunk = %d, want %d", g.MaxChunk(), b)
+	}
+	src := randCodes(rand.New(rand.NewSource(61)), c*h*w*b)
+	want := packedIm2col(src, b, c, h, w, 3, 3, 2, 1, outH, outW)
+	got := make([]uint8, g.Len(b))
+	stage := new(GatherStage)
+	g.Pack(got, src, b, stage)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("byte %d: gather=%d, want %d", i, got[i], want[i])
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a chunk past the stage was packed")
+		}
+	}()
+	g.Pack(make([]uint8, g.Len(b+1)), randCodes(rand.New(rand.NewSource(62)), c*h*w*(b+1)), b+1, stage)
 }
 
 // TestOffsetU8 covers the pointwise-conv conversion path.
@@ -318,14 +371,19 @@ func refIm2col(dst, src []int32, c, h, w, kh, kw, stride, pad, outH, outW int) {
 }
 
 // BenchmarkConvGatherPack times one gather pass for a 3×3 pad-1 conv
-// over a 16×8×8 input, the residual-stage shape of the demo CNN.
+// over an 8×8×8 input, the stage-1 shape of the demo CNN, for one image
+// and for chunks of 2–64.
 func BenchmarkConvGatherPack(b *testing.B) {
-	g := NewConvGather(16, 8, 8, 3, 3, 1, 1, 8, 8)
-	src := randCodes(rand.New(rand.NewSource(1)), 16*8*8)
-	dst := make([]uint8, g.Len())
-	stage := new(GatherStage)
-	b.SetBytes(int64(g.Len()))
-	for i := 0; i < b.N; i++ {
-		g.Pack(dst, src, stage)
+	g := NewConvGather(8, 8, 8, 3, 3, 1, 1, 8, 8)
+	for _, chunk := range []int{1, 2, 5, 8, 64} {
+		b.Run(fmt.Sprintf("b%d", chunk), func(b *testing.B) {
+			src := randCodes(rand.New(rand.NewSource(1)), 8*8*8*chunk)
+			dst := make([]uint8, g.Len(chunk))
+			stage := new(GatherStage)
+			b.SetBytes(int64(g.Len(chunk)))
+			for i := 0; i < b.N; i++ {
+				g.Pack(dst, src, chunk, stage)
+			}
+		})
 	}
 }

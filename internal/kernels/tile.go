@@ -7,8 +7,11 @@ import "strconv"
 // the packed kernels, panel layouts, or the blocked drivers below could
 // shift the performance ranking of tiles — stale picks are then ignored
 // because the cache file name embeds the version. Version 2: conv picks
-// time the row driver over a gathered B and tune MR alone.
-const TuneVersion = 2
+// time the row driver over a gathered B and tune MR alone. Version 3:
+// conv picks are keyed at the batched lane's column count, and every
+// pick is timed over repeated runs and kept only with a clear lead over
+// the unblocked tile.
+const TuneVersion = 3
 
 // Tile is the blocking geometry of one packed-GEMM invocation. The
 // fields never change arithmetic — every output element accumulates its
