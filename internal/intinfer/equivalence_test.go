@@ -133,9 +133,9 @@ func countPack8(steps []step) int {
 	return n
 }
 
-// TestOversizedConvInputStaysUnpacked pins the gather table's index
-// width at plan level: a conv whose input exceeds kernels.MaxGatherSrc
-// gets no packed panels and no table and dispatches the direct loop,
+// TestOversizedConvInputStaysUnpacked pins the gather stage's bound at
+// plan level: a conv whose padded input exceeds kernels.MaxGatherSrc
+// gets no packed panels and no gather and dispatches the direct loop,
 // while a smaller conv of the same plan packs, and the plan still
 // matches the direct reference bit for bit. Such a plan stays off the
 // batched lane, so its head keeps no packed panels either.
@@ -145,9 +145,9 @@ func TestOversizedConvInputStaysUnpacked(t *testing.T) {
 		return nn.NewConv2D(label, tensor.ConvGeom{InC: inC, InH: h, InW: w,
 			KH: 3, KW: 3, Stride: 2, Pad: 1, OutC: outC}, true, rng)
 	}
-	const side = 256 // 1×256×256 is one element past MaxGatherSrc
-	if side*side <= kernels.MaxGatherSrc {
-		t.Fatalf("%d-element input fits a gather table", side*side)
+	const side = 256 // 1×256×256 pads to 1×258×258, past MaxGatherSrc
+	if (side+2)*(side+2) <= kernels.MaxGatherSrc {
+		t.Fatalf("%d-element padded input fits the gather stage", (side+2)*(side+2))
 	}
 	m := &models.ImageModel{Name: "wide", InC: 1, InH: side, InW: side, Classes: 3,
 		Net: nn.NewSequential("wide",
@@ -169,7 +169,7 @@ func TestOversizedConvInputStaysUnpacked(t *testing.T) {
 		case "small":
 			seen++
 			if st.pack8 == nil || st.gather == nil {
-				t.Fatal("conv within the table's index width was not packed")
+				t.Fatal("conv within the gather stage was not packed")
 			}
 		case "fc":
 			seen++

@@ -539,9 +539,10 @@ func gemvF64Chunk(wg *sync.WaitGroup, stop *atomic.Bool, dst, a, x, bias []float
 
 // execConv runs a packed conv as one gather pass plus the packed GEMM
 // per group, over all b images of the activation at once, and any conv
-// the build did not pack (kernels.AccumFitsU8, or an input too large
-// for a gather table) on the direct loop with 64-bit accumulation — one
-// image only, since the batched lane admits packed convs alone.
+// the build did not pack (kernels.AccumFitsU8, or a padded input too
+// large for the gather stage) on the direct loop with 64-bit
+// accumulation — one image only, since the batched lane admits packed
+// convs alone.
 func (p *Plan) execConv(st step, in activation, b int, s *scratch) (activation, error) {
 	g := st.geom
 	if in.c != g.inC || in.h != g.inH || in.w != g.inW {

@@ -13,10 +13,10 @@ import (
 // same model calibrated once and revealed at several TR group budgets.
 // Rungs whose revealed codes coincide (a high budget that never
 // truncates a group, say) alias the same weight, bias and packed-panel
-// storage, every rung uses one gather table per conv geometry, and
-// every rung draws scratch from a single pool whose geometry is the
-// family max — so adding budgets costs only the requant tables that
-// actually differ, not another full copy of the network.
+// storage, and every rung draws scratch from a single pool whose
+// geometry is the family max — so adding budgets costs only the requant
+// tables that actually differ (and each conv's k gather tap offsets),
+// not another full copy of the network.
 //
 // Each rung is bit-identical to the plan Build would produce for that
 // budget alone: BuildFamily runs the same calibration pass once and
@@ -59,11 +59,10 @@ func BuildFamily(m *models.ImageModel, opts Options) (*Family, error) {
 		return nil, err
 	}
 	f := &Family{budgets: budgets, plans: make([]*Plan, len(budgets))}
-	gathers := gatherCache{} // geometry-only, so one table serves every rung
 	for i, b := range budgets {
 		o := opts
 		o.GroupBudget = b
-		p, err := buildCalibrated(m, o, scales, outScale, gathers)
+		p, err := buildCalibrated(m, o, scales, outScale)
 		if err != nil {
 			return nil, fmt.Errorf("intinfer: budget %d: %w", b, err)
 		}

@@ -3,11 +3,6 @@ package intinfer
 import (
 	"context"
 	"testing"
-
-	"repro/internal/datasets"
-	"repro/internal/kernels"
-	"repro/internal/models"
-	"repro/internal/qsim"
 )
 
 func TestBuildFamilyRejectsBadOptions(t *testing.T) {
@@ -133,40 +128,6 @@ func convSteps(steps []step) []*step {
 		}
 	}
 	return out
-}
-
-// TestFamilySharesGatherTables: a gather table depends only on conv
-// geometry, so every rung of a CNN family points each packed conv at
-// the same table, and equal geometries within a rung share one too.
-func TestFamilySharesGatherTables(t *testing.T) {
-	g := models.CNNGeom{InC: 3, InH: 8, InW: 8, Classes: 4}
-	m := models.NewResNetStyle(g, 71)
-	qsim.FoldBatchNorm(m)
-	ds := datasets.ImageClasses(16, g.Classes, g.InC, g.InH, g.InW, 72)
-	f, err := BuildFamily(m, Options{Calibration: ds.Images, GroupSize: 8,
-		Budgets: []int{4, 8, 12}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := convSteps(f.plans[0].steps)
-	tables := make(map[*kernels.ConvGather]bool)
-	for _, st := range base {
-		if st.pack8 == nil || st.gather == nil {
-			t.Fatalf("conv %s not packed", st.name)
-		}
-		tables[st.gather] = true
-	}
-	if len(tables) >= len(base) {
-		t.Errorf("%d convs hold %d tables; equal geometries must share one", len(base), len(tables))
-	}
-	for _, p := range f.plans[1:] {
-		for i, st := range convSteps(p.steps) {
-			if st.gather != base[i].gather {
-				t.Errorf("budget %d conv %s: gather table not shared with budget %d",
-					p.groupBudget, st.name, f.plans[0].groupBudget)
-			}
-		}
-	}
 }
 
 func TestFamilyClampAndStepDown(t *testing.T) {

@@ -112,12 +112,11 @@ type step struct {
 	wf64, bf64 []float64
 	// pack8[g] is group g's weight matrix in packed panel form for the
 	// int8 SIMD GEMM, built once at compile time; nil when the conv was
-	// not admitted (kernels.AccumFitsU8, or an input too large for a
-	// gather table), which leaves the step on the direct loop.
+	// not admitted (kernels.AccumFitsU8, or a padded input too large
+	// for the gather stage), which leaves the step on the direct loop.
 	pack8 []*kernels.PackedA
-	// gather packs a packed conv's B panels straight from one group's
-	// input slice (im2col + PackB compiled into one table). It depends
-	// only on geometry, so steps and Family rungs share one per geometry.
+	// gather packs a packed conv's B panels from one group's input
+	// slice: im2col + PackB as a staging layout and k tap offsets.
 	gather *kernels.ConvGather
 	// pack8lin is the linear analogue: the weight matrix in packed
 	// panel form when kernels.AccumFitsU8 admits it. The batched lane is
@@ -216,19 +215,17 @@ func Build(m *models.ImageModel, opts Options) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return buildCalibrated(m, opts, scales, outScale, gatherCache{})
+	return buildCalibrated(m, opts, scales, outScale)
 }
 
 // buildCalibrated compiles the model against pre-computed calibration
 // scales. Build runs the calibration pass itself; BuildFamily runs it
 // once and compiles every budget rung through here, so the rungs are
-// bit-identical to single-budget builds by construction. gathers is
-// shared by every rung of a Family, so the rungs share gather tables.
-func buildCalibrated(m *models.ImageModel, opts Options, scales map[string]float32, outScale float32,
-	gathers gatherCache) (*Plan, error) {
+// bit-identical to single-budget builds by construction.
+func buildCalibrated(m *models.ImageModel, opts Options, scales map[string]float32, outScale float32) (*Plan, error) {
 	p := &Plan{inC: m.InC, inH: m.InH, inW: m.InW, classes: m.Classes,
 		outScale: outScale, groupBudget: opts.GroupBudget}
-	c := &compiler{opts: opts, scales: scales, gathers: gathers}
+	c := &compiler{opts: opts, scales: scales}
 	var flat []nn.Layer
 	if err := flattenChain(m.Net, &flat); err != nil {
 		return nil, err
@@ -454,32 +451,11 @@ func chainBufs(steps []step, held int) int {
 	return peak
 }
 
-// compiler threads the calibration scales and the gather-table cache
-// through the recursive chain compilation.
+// compiler threads the calibration scales through the recursive chain
+// compilation.
 type compiler struct {
-	opts    Options
-	scales  map[string]float32
-	gathers gatherCache
-}
-
-// gatherCache hands out one gather table per conv input geometry: a
-// build shares it across steps, and BuildFamily across rungs, so equal
-// geometries alias one table.
-type gatherCache map[convGeom]*kernels.ConvGather
-
-// get returns the table for a conv's per-group input, building it on
-// first use; nil when the input is too large for a table.
-func (gc gatherCache) get(g *convGeom) *kernels.ConvGather {
-	// The output channel count and the group split do not shape the
-	// table, only the per-group input slice does.
-	k := convGeom{inC: g.inC / g.groups, inH: g.inH, inW: g.inW, kh: g.kh, kw: g.kw,
-		stride: g.stride, pad: g.pad, groups: 1, outH: g.outH, outW: g.outW}
-	t, ok := gc[k]
-	if !ok {
-		t = kernels.NewConvGather(k.inC, k.inH, k.inW, k.kh, k.kw, k.stride, k.pad, k.outH, k.outW)
-		gc[k] = t
-	}
-	return t
+	opts   Options
+	scales map[string]float32
 }
 
 // flattenChain expands nested sequentials into a flat op list, keeping
@@ -558,7 +534,7 @@ func (c *compiler) compileChain(chain []nn.Layer, inScale, outScale float32) ([]
 			if err != nil {
 				return nil, err
 			}
-			st, err := compileConv(v, c.opts, sx, sy, c.gathers)
+			st, err := compileConv(v, c.opts, sx, sy)
 			if err != nil {
 				return nil, err
 			}
@@ -729,7 +705,7 @@ func maxAbs32(v []int32) int64 {
 	return m
 }
 
-func compileConv(v *nn.Conv2D, opts Options, sx, sy float32, gathers gatherCache) (step, error) {
+func compileConv(v *nn.Conv2D, opts Options, sx, sy float32) (step, error) {
 	g := v.Geom
 	kk := (g.InC / g.Groups) * g.KH * g.KW
 	codes, sw := quantizeWeightRows(v.Weight.W.Data, g.OutC, kk,
@@ -747,18 +723,18 @@ func compileConv(v *nn.Conv2D, opts Options, sx, sy float32, gathers gatherCache
 			st.bias[i] = sat32(math.Round(float64(b) / acc))
 		}
 	}
-	packConvWeights(&st, kk, gathers)
+	packConvWeights(&st, kk)
 	return st, nil
 }
 
 // packConvWeights builds the packed-panel form of an admitted conv's
-// weights, one PackedA per group, and attaches its gather table.
+// weights, one PackedA per group, and attaches its gather.
 // Admission (kernels.AccumFitsU8) depends on each group's
 // compensated-bias magnitude, which only the pack itself computes, so
-// packing is speculative: if any group fails the bound, or the input is
-// too large for a gather table, pack8 stays nil and the step runs the
-// direct int64 loop.
-func packConvWeights(st *step, kk int, gathers gatherCache) {
+// packing is speculative: if any group fails the bound, or the padded
+// input is too large for the gather stage, pack8 stays nil and the step
+// runs the direct int64 loop.
+func packConvWeights(st *step, kk int) {
 	g := st.geom
 	oPerG := g.outC / g.groups
 	wmax := maxAbs32(st.weights)
@@ -771,7 +747,11 @@ func packConvWeights(st *step, kk int, gathers gatherCache) {
 		}
 		packs[grp] = pa
 	}
-	if st.gather = gathers.get(g); st.gather != nil {
+	// The gather stages one group's input slice, so only the per-group
+	// channel count shapes it.
+	st.gather = kernels.NewConvGather(g.inC/g.groups, g.inH, g.inW, g.kh, g.kw,
+		g.stride, g.pad, g.outH, g.outW)
+	if st.gather != nil {
 		st.pack8 = packs
 	}
 }

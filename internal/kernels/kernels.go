@@ -1,8 +1,8 @@
 // Package kernels holds the integer compute kernels the deployment
 // runtime (internal/intinfer) lowers to: the packed int8 GEMM (weights
 // packed once into row panels, activations as offset-u8 column panels
-// written by PackB or, for a conv, straight from the input by a
-// ConvGather table, requantization fused into the 4×16 tile; see
+// written by PackB or, for a conv, straight from the staged input by a
+// ConvGather, requantization fused into the 4×16 tile; see
 // pack8.go) and a float64-carried GEMV for single-column linears. Codes
 // are int8-range (|v| ≤ 127 for activations, weights bounded by the
 // quantizer's bit width); AccumFitsU8 and ExactF64 are the build-time

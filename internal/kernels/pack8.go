@@ -1,14 +1,17 @@
 package kernels
 
-import "math"
+import (
+	"encoding/binary"
+	"math"
+)
 
 // Packed int8 GEMM path. Each weight matrix is repacked once at
 // plan-build time into microkernel-shaped panels, the activations are
 // carried as offset-u8 bytes, and the requantization epilogue is fused
 // into the 4×16 register tile, so per-image work is one pass over
 // int8-range data with no int32 round-trip buffer. A conv never materializes its
-// patch matrix: a gather table compiled at plan build (ConvGather)
-// writes the B panels straight from the input activation.
+// patch matrix: a gather compiled at plan build (ConvGather) stages the
+// input activation and writes the B panels straight from the stage.
 //
 // Layouts (MR = 4 output rows, NR = 16 output columns, KU = 2 taps):
 //
@@ -187,81 +190,107 @@ func packBPanelTaps(dst, src []uint8, k, n, cp, q0, q1 int) {
 	}
 }
 
-// gatherSlots is the GatherStage size: a uint16 table entry can name
-// any of its slots, so the gather loop needs no bounds check.
-const gatherSlots = 1 << 16
+// MaxGatherSrc is the stage's capacity in bytes, and so the largest
+// padded per-group conv input, c·(h+2·pad)·(w+2·pad) elements, a gather
+// can stage for one image. A larger input stays on the direct loop.
+const MaxGatherSrc = 1 << 16
 
-// GatherStage is the staging buffer ConvGather.Pack reads through: the
-// conv input in the offset-u8 domain followed by a 128 byte per image
-// (the offset image of zero) that every padding entry of the table
-// names. Sixteen bytes of slack past the slots let the chunk gather
-// read each run as one 16-byte load.
-type GatherStage [gatherSlots + 16]uint8
+// GatherStage is the staging buffer ConvGather.Pack reads through: one
+// conv group's input in the offset-u8 domain, padded and split into
+// stride phases (see ConvGather). Sixteen bytes of slack past the
+// MaxGatherSrc bytes let the gather read every run segment as one
+// 16-byte load.
+type GatherStage [MaxGatherSrc + 16]uint8
 
-// MaxGatherSrc is the largest conv input, in elements, a gather table
-// can index; one stage slot past it is kept for the 128 sentinel.
-const MaxGatherSrc = gatherSlots - 1
-
-// ConvGather is one conv geometry's im2col + PackB compiled into a
-// gather table. Entry i names the input element whose offset-u8 code
-// lands at byte i of the packed B panels of one image's
-// (c·kh·kw)×(outH·outW) patch matrix; padded border taps, the odd-k pad
-// tap and pad columns name the sentinel slot just past the input. The
-// table depends only on geometry, so plans share one per geometry. It
-// costs two bytes per packed byte (PackBSize(c·kh·kw, outH·outW)
-// entries) and indexes inputs of at most MaxGatherSrc elements.
-//
-// Pack also serves a chunk of b images at once from the same per-image
-// table: the chunk travels batch-innermost (element e of image j at
-// e·b + j), and column (pixel s, image j) of the batched patch matrix
-// is column s·b + j, so one GEMM covers the chunk.
+// ConvGather is one conv geometry's im2col + PackB as a staging layout
+// and k tap offsets. Pack writes a chunk's input to the stage padded
+// and split into stride phases: c·hp rows of wp pixels (hp = h+2·pad,
+// wp = w+2·pad), border pixels 128 (the offset image of zero), each
+// pixel's b images contiguous (the chunk travels batch-innermost,
+// element e of image j at e·b + j), and within a row first every pixel
+// x ≡ 0 (mod stride), then x ≡ 1, and so on — for stride 1 the plain
+// row. Output pixel ox of row oy reads tap (ci, ky, kx) at padded
+// (oy·stride+ky, ox·stride+kx), which is pixel ox + ⌊kx/stride⌋ of the
+// row's phase kx mod stride, so one tap's bytes for one output row are
+// a single contiguous run of outW·b bytes starting at
+// taps[r]·b + oy·stride·wp·b. Column (pixel s, image j) of the batched
+// patch matrix is column s·b + j, so the runs of an output row are the
+// row's outW·b consecutive columns and one GEMM covers the chunk.
 type ConvGather struct {
-	idx  []uint16
-	src  int // input elements per image; also the sentinel's index
-	k, n int // patch-matrix depth c·kh·kw and width outH·outW
+	taps        []int32 // stage pixel offset of each tap (ci, ky, kx) for output row 0
+	c, h, w     int
+	kh, kw      int
+	stride, pad int
+	outH, outW  int
+	// A strided conv stages only what its taps read: the interior of
+	// each phase r < kw (phases) in each row an output row reaches
+	// (rows).
+	phases []phaseRun
+	rows   []rowRun
 }
 
-// NewConvGather compiles the gather table for a c×h×w input convolved
+// phaseRun is the interior of one stride phase of a staged row: n
+// pixels at stage pixel at of the row, from source pixels from,
+// from+stride, ….
+type phaseRun struct{ at, from, n int }
+
+// rowRun is n interior source rows y0, y0+step, … that taps read.
+type rowRun struct{ y0, n, step int }
+
+// NewConvGather compiles the tap offsets for a c×h×w input convolved
 // with a kh×kw kernel at the given stride and zero padding. It returns
-// nil when the input is too large for uint16 entries (c·h·w >
-// MaxGatherSrc); such a conv must stay off the packed path.
+// nil when one image's padded input, c·(h+2·pad)·(w+2·pad) elements,
+// exceeds the stage (MaxGatherSrc); such a conv must stay off the
+// packed path.
 func NewConvGather(c, h, w, kh, kw, stride, pad, outH, outW int) *ConvGather {
-	src := c * h * w
-	if src > MaxGatherSrc {
+	hp, wp := h+2*pad, w+2*pad
+	if c*hp*wp > MaxGatherSrc {
 		return nil
 	}
-	k, n := c*kh*kw, outH*outW
-	kq := (k + 1) / 2
-	sentinel := uint16(src) //trlint:checked src <= MaxGatherSrc, checked above
-	g := &ConvGather{idx: make([]uint16, PackBSize(k, n)), src: src, k: k, n: n}
-	// Walk the PackB layout column by column: column col of panel cp
-	// holds tap r at byte cp·kq·32 + (r/2)·32 + 2·(col%16) + r%2.
-	for col := 0; col < (n+15)/16*16; col++ {
-		out := g.idx[col/16*kq*32+2*(col%16):]
-		if col >= n {
-			for q := 0; q < kq; q++ {
-				out[q*32], out[q*32+1] = sentinel, sentinel
+	g := &ConvGather{taps: make([]int32, 0, c*kh*kw), c: c, h: h, w: w, kh: kh, kw: kw,
+		stride: stride, pad: pad, outH: outH, outW: outW}
+	for ci := 0; ci < c; ci++ {
+		for ky := 0; ky < kh; ky++ {
+			for kx := 0; kx < kw; kx++ {
+				phase := 0 // pixels of the phases stored before kx's
+				for r := 0; r < kx%stride; r++ {
+					phase += (wp - r + stride - 1) / stride
+				}
+				off := (ci*hp+ky)*wp + phase + kx/stride
+				g.taps = append(g.taps, int32(off)) //trlint:checked off < c·hp·wp <= MaxGatherSrc
 			}
-			continue
 		}
-		oy, ox := col/outW*stride-pad, col%outW*stride-pad
-		r := 0
-		for ci := 0; ci < c; ci++ {
-			for ky := 0; ky < kh; ky++ {
-				iy := oy + ky
-				for kx := 0; kx < kw; kx++ {
-					ix := ox + kx
-					v := sentinel
-					if iy >= 0 && iy < h && ix >= 0 && ix < w {
-						v = uint16((ci*h+iy)*w + ix) //trlint:checked an in-bounds input index is < src <= MaxGatherSrc
+	}
+	if stride > 1 {
+		// Phase r holds padded x = r + i·stride; its interior pixels
+		// p ≤ x < p+w are i0 ≤ i < i1. Phases r ≥ kw are never read.
+		at := 0
+		for r := 0; r < min(stride, kw); r++ {
+			i0, i1 := (max(pad-r, 0)+stride-1)/stride, (pad+w-r+stride-1)/stride
+			if i1 > i0 {
+				g.phases = append(g.phases, phaseRun{at: at + i0, from: r + i0*stride - pad, n: i1 - i0})
+			}
+			at += (wp - r + stride - 1) / stride
+		}
+		// Output row oy reads padded rows oy·stride + ky: every row below
+		// last when kh ≥ stride, else those ≡ ky (mod stride) for ky < kh.
+		last, step, residues := (outH-1)*stride+kh, 1, 1
+		if kh < stride {
+			step, residues = stride, kh
+		}
+		for ky := 0; ky < residues; ky++ {
+			run := rowRun{step: step}
+			for yp := ky; yp < last; yp += step {
+				if y := yp - pad; y >= 0 && y < h {
+					if run.n == 0 {
+						run.y0 = y
 					}
-					out[r/2*32+r%2] = v
-					r++
+					run.n++
 				}
 			}
-		}
-		if r%2 == 1 {
-			out[r/2*32+1] = sentinel // odd-k pad tap
+			if run.n > 0 {
+				g.rows = append(g.rows, run)
+			}
 		}
 	}
 	return g
@@ -269,97 +298,149 @@ func NewConvGather(c, h, w, kh, kw, stride, pad, outH, outW int) *ConvGather {
 
 // Len returns the packed B length Pack fills for a chunk of b images:
 // PackBSize of the (c·kh·kw)×(b·outH·outW) patch matrix.
-func (g *ConvGather) Len(b int) int { return PackBSize(g.k, g.n*b) }
+func (g *ConvGather) Len(b int) int { return PackBSize(len(g.taps), g.outH*g.outW*b) }
 
-// MaxChunk is the widest chunk Pack accepts: the staged input of b
-// images plus their b sentinel bytes, (src+1)·b, must fit the stage.
-func (g *ConvGather) MaxChunk() int { return gatherSlots / (g.src + 1) }
+// MaxChunk is the widest chunk Pack accepts: b images of the padded
+// input, c·hp·wp·b bytes, must fit the stage.
+func (g *ConvGather) MaxChunk() int {
+	return MaxGatherSrc / (g.c * (g.h + 2*g.pad) * (g.w + 2*g.pad))
+}
 
-// Pack writes the packed B panels of a chunk's patch matrix into dst in
-// one pass, byte-identical to PackB over the offset-u8 im2col matrix of
-// the b images. src holds the chunk's conv input batch-innermost
-// (exactly b·c·h·w codes; activation codes are clamped to [-127, 127] by
-// every producer, so their offset stays in [1, 255]); b = 1 is one image
-// in its plain layout. stage is caller-owned scratch, and b must not
+// Pack writes the packed B panels of a chunk's patch matrix into dst,
+// byte-identical to PackB over the offset-u8 im2col matrix of the b
+// images. src holds the chunk's conv input batch-innermost (exactly
+// b·c·h·w codes; activation codes are clamped to [-127, 127] by every
+// producer, so their offset stays in [1, 255]); b = 1 is one image in
+// its plain layout. stage is caller-owned scratch, and b must not
 // exceed MaxChunk.
 func (g *ConvGather) Pack(dst []uint8, src []int32, b int, stage *GatherStage) {
 	if b < 1 || b > g.MaxChunk() {
 		panic("kernels: gather chunk does not fit the stage")
 	}
-	// The staged input is followed by b bytes of 128, so the sentinel
-	// entry e = src reads offset zero for every image of the chunk.
-	OffsetU8(stage[:g.src*b], src[:g.src*b])
-	for j := g.src * b; j < (g.src+1)*b; j++ {
-		stage[j] = 128
+	g.stageInput(stage, src[:g.c*g.h*g.w*b], b)
+	kq := (len(g.taps) + 1) / 2
+	run := g.outW * b                         // bytes of one tap's run, and columns of one output row
+	rowStep := g.stride * (g.w + 2*g.pad) * b // stage bytes from one output row's runs to the next's
+	end := g.outH * run
+	dst = dst[:g.Len(b)]
+	// A run splits only at 16-column panel edges; each segment is one
+	// gatherRun call over every tap pair, and the matrix's last segment
+	// also writes its panel's pad columns.
+	col := 0
+	for oy := 0; oy < g.outH; oy++ {
+		for i := 0; i < run; {
+			c := col % 16
+			w := min(16-c, run-i)
+			cols := w
+			if col+w == end {
+				cols = 16 - c
+			}
+			gatherRun(dst[col/16*kq*32+2*c:], stage, g.taps, b, oy*rowStep+i, w, cols)
+			i += w
+			col += w
+		}
 	}
-	if b == 1 {
-		g.packOne(dst, stage)
+}
+
+// stageInput writes one group's input to the stage in the padded,
+// stride-phased layout (see ConvGather).
+func (g *ConvGather) stageInput(stage *GatherStage, src []int32, b int) {
+	hp, wp, p := g.h+2*g.pad, g.w+2*g.pad, g.pad
+	d := stage[:g.c*hp*wp*b]
+	if g.stride == 1 {
+		offsetRows(d, src, g.c, g.h, g.w*b, p*b, p*wp*b)
 		return
 	}
-	kq := (g.k + 1) / 2
-	dst = dst[:g.Len(b)]
-	// Per-image column s names each tap's input element at a stride of
-	// 32, and each element's b images sit contiguously on the stage, so
-	// tap pair q of the batched columns s·b … s·b+b−1 is two b-byte runs
-	// zipped into 2-byte slots. A run breaks only at a 16-column panel
-	// edge; its segments are the same for every tap pair.
-	for s := 0; s < g.n; s++ {
-		t := g.idx[s/16*kq*32+2*(s%16):][:(kq-1)*32+2]
-		for j, col := 0, s*b; j < b; {
-			c := col % 16
-			run := min(16-c, b-j)
-			gatherRun(dst[col/16*kq*32+2*c:], t, stage, kq, b, j, run)
-			j += run
-			col += run
+	// A strided conv splits each row into phases, so a row's interior is
+	// no longer one run of the source but one strided run per phase.
+	// With no padding there is no border to fill.
+	if p > 0 {
+		fill128(d)
+	}
+	for ci := 0; ci < g.c; ci++ {
+		for _, rr := range g.rows {
+			for _, ph := range g.phases {
+				offsetPhase(d[((ci*hp+p+rr.y0)*wp+ph.at)*b:], src[((ci*g.h+rr.y0)*g.w+ph.from)*b:],
+					rr.n, ph.n, b, g.stride*b, rr.step*wp*b, rr.step*g.w*b)
+			}
 		}
 	}
-	for col := g.n * b; col%16 != 0; col++ { // pad columns of the last panel
-		d := dst[col/16*kq*32+2*(col%16):]
-		for q := 0; q < kq; q++ {
-			d[q*32], d[q*32+1] = 128, 128
-		}
+}
+
+// fill128 sets every byte of d to 128, the offset image of zero.
+func fill128(d []uint8) {
+	for ; len(d) >= 8; d = d[8:] {
+		binary.LittleEndian.PutUint64(d, 0x8080808080808080)
+	}
+	for i := range d {
+		d[i] = 128
 	}
 }
 
 // gatherRunGo is the portable run gather and the reference for the
-// assembly twin: for every tap pair q < kq, d[32q+2i] and d[32q+2i+1]
-// receive the staged bytes of images j+i of the elements t[32q] and
-// t[32q+1], for i < run.
-func gatherRunGo(d []uint8, t []uint16, stage *GatherStage, kq, b, j, run int) {
-	for q := 0; q < kq; q++ {
-		x := stage[int(t[q*32])*b+j:][:run]
-		y := stage[int(t[q*32+1])*b+j:][:run]
-		o := d[q*32:][:2*run]
-		for i, v := range x {
-			o[2*i], o[2*i+1] = v, y[i]
+// assembly twin. For every tap pair q it writes the 2·cols bytes
+// d[32q : 32q+2·cols], the 2-byte column slots of cols consecutive
+// columns of one panel: slot i holds the stage bytes at
+// base + taps[2q]·b + i and base + taps[2q+1]·b + i for i < w, and 128
+// in both bytes for w ≤ i < cols (the last panel's pad columns). An odd
+// len(taps) leaves the last pair's second tap as the pad tap, 128.
+// 1 ≤ w ≤ cols ≤ 16.
+func gatherRunGo(d []uint8, stage *GatherStage, taps []int32, b, base, w, cols int) {
+	for q := 0; 2*q < len(taps); q++ {
+		o := d[32*q:][:2*cols]
+		fill128(o)
+		for i, v := range stage[base+int(taps[2*q])*b:][:w] {
+			o[2*i] = v
+		}
+		if 2*q+1 < len(taps) {
+			for i, v := range stage[base+int(taps[2*q+1])*b:][:w] {
+				o[2*i+1] = v
+			}
 		}
 	}
 }
 
-// packOne is Pack for one image, whose batched layout is the table's
-// own: a straight gather, one table entry per packed byte.
-func (g *ConvGather) packOne(dst []uint8, stage *GatherStage) {
-	// The table holds whole 32-byte tap-pair groups, so eight-entry
-	// strides cover it exactly; uint16 entries need no bounds check
-	// against the 64 KiB stage, and the unrolled body trims the loop
-	// overhead (about a quarter faster than one entry per iteration in
-	// BenchmarkConvGatherPack on a 2-vCPU AVX2 Xeon).
-	idx := g.idx
-	dst = dst[:len(idx)]
-	for i := 0; i < len(idx); i += 8 {
-		t := (*[8]uint16)(idx[i:])
-		d := (*[8]uint8)(dst[i:])
-		d[0], d[1], d[2], d[3] = stage[t[0]], stage[t[1]], stage[t[2]], stage[t[3]]
-		d[4], d[5], d[6], d[7] = stage[t[4]], stage[t[5]], stage[t[6]], stage[t[7]]
+// OffsetU8 converts a slice of int8-range codes to the offset-u8
+// domain: the packed linear lane's activation matrices. It runs the
+// conv stage fill's loop with no border.
+func OffsetU8(dst []uint8, src []int32) {
+	offsetRows(dst[:len(src)], src, 1, 1, len(src), 0, 0)
+}
+
+// offsetPhaseGo is the portable strided stage fill and the reference
+// for the assembly twin: rows rows of px pixels of b codes each, pixel i
+// of row r read from src[r·srcRow + i·step:] and written offset-u8 to
+// d[r·dstRow + i·b:].
+func offsetPhaseGo(d []uint8, src []int32, rows, px, b, step, dstRow, srcRow int) {
+	for r := 0; r < rows; r++ {
+		out, in := d[r*dstRow:][:px*b], src[r*srcRow:]
+		for i := 0; i < px; i++ {
+			for j, v := range in[i*step:][:b] {
+				out[i*b+j] = uint8(v + 128) //trlint:checked codes are clamped to [-127,127], so +128 is in [1,255]
+			}
+		}
 	}
 }
 
-// OffsetU8 converts a slice of int8-range codes to the offset-u8
-// domain: the gather's staging pass and the packed linear lane's
-// activation matrices.
-func OffsetU8(dst []uint8, src []int32) {
-	for i, v := range src {
-		dst[i] = uint8(v + 128) //trlint:checked codes are clamped to [-127,127], so +128 is in [1,255]
+// offsetRowsGo is the portable stage fill and the reference for the
+// assembly twin: c channels of h rows of n codes each, converted from
+// src to offset-u8 bytes, every row framed by side bytes of 128 on
+// either side and every channel by top bytes of 128 above and below.
+// d must hold exactly c·(2·top + h·(n + 2·side)) bytes.
+func offsetRowsGo(d []uint8, src []int32, c, h, n, side, top int) {
+	for ci := 0; ci < c; ci++ {
+		fill128(d[:top])
+		d = d[top:]
+		for y := 0; y < h; y++ {
+			fill128(d[:side])
+			for i, v := range src[:n] {
+				d[side+i] = uint8(v + 128) //trlint:checked codes are clamped to [-127,127], so +128 is in [1,255]
+			}
+			fill128(d[side+n:][:side])
+			d, src = d[n+2*side:], src[n:]
+		}
+		fill128(d[:top])
+		d = d[top:]
 	}
 }
 
