@@ -46,11 +46,14 @@
 #                build) + results/BENCH_load.json; fails unless the
 #                artifact is at least 2x smaller than gob
 #   make serve-fuzz  the classify fuzzers, 30 s each: the one-pass body
-#                parser against encoding/json (FuzzDecodeClassify), raw
-#                bodies through a running server's handler
-#                (FuzzClassifyHandler), then arbitrary float32 pixels
-#                through every intinfer entry point (FuzzClassify); their
-#                seed corpora already run in tier1 as plain tests
+#                parser against encoding/json (FuzzDecodeClassify), its
+#                numeral converter against strconv.ParseFloat at 32 and
+#                64 bits on numerals built from a mantissa and a decimal
+#                exponent (FuzzNumeral), raw bodies through a running
+#                server's handler (FuzzClassifyHandler), then arbitrary
+#                float32 pixels through every intinfer entry point
+#                (FuzzClassify); their seed corpora already run in tier1
+#                as plain tests
 #   make serve-race  the serve package under the race detector ten times
 #                over: the drain, swap and batching-window tests are
 #                timing-sensitive, so one clean pass is not evidence
@@ -135,6 +138,7 @@ serve-soak:
 # kilobyte bodies; -fuzzminimizetime 0 keeps it fuzzing.
 serve-fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeClassify$$' -fuzztime 30s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzNumeral$$' -fuzztime 30s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzClassifyHandler$$' -fuzztime 30s -fuzzminimizetime 0 ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzClassify$$' -fuzztime 30s ./internal/intinfer
 

@@ -337,7 +337,7 @@ func sat32(v float64) int32 {
 }
 
 // exec runs one step over an activation of b images.
-func (p *Plan) exec(st step, in activation, b int, s *scratch) (activation, error) {
+func (p *Plan) exec(st *step, in activation, b int, s *scratch) (activation, error) {
 	switch st.kind {
 	case kindConv:
 		return p.execConv(st, in, b, s)
@@ -373,14 +373,14 @@ func (p *Plan) exec(st step, in activation, b int, s *scratch) (activation, erro
 // the main path, or [0, cap] when a following ReLU was folded in
 // (fuseActivations). The skip-add happens in place in the body's
 // buffer.
-func (p *Plan) execResidual(st step, in activation, b int, s *scratch) (activation, error) {
+func (p *Plan) execResidual(st *step, in activation, b int, s *scratch) (activation, error) {
 	// Branches consume independent copies of the activation (steps may
 	// mutate in place, e.g. ReLU).
 	body := activation{data: s.get(len(in.data)), c: in.c, h: in.h, w: in.w}
 	copy(body.data, in.data)
 	var err error
-	for _, sub := range st.body {
-		body, err = p.exec(sub, body, b, s)
+	for k := range st.body {
+		body, err = p.exec(&st.body[k], body, b, s)
 		if err != nil {
 			return in, err
 		}
@@ -389,8 +389,8 @@ func (p *Plan) execResidual(st step, in activation, b int, s *scratch) (activati
 	if st.proj != nil {
 		skip = activation{data: s.get(len(in.data)), c: in.c, h: in.h, w: in.w}
 		copy(skip.data, in.data)
-		for _, sub := range st.proj {
-			skip, err = p.exec(sub, skip, b, s)
+		for k := range st.proj {
+			skip, err = p.exec(&st.proj[k], skip, b, s)
 			if err != nil {
 				return in, err
 			}
@@ -543,7 +543,7 @@ func gemvF64Chunk(wg *sync.WaitGroup, stop *atomic.Bool, dst, a, x, bias []float
 // large for the gather stage) on the direct loop with 64-bit
 // accumulation — one image only, since the batched lane admits packed
 // convs alone.
-func (p *Plan) execConv(st step, in activation, b int, s *scratch) (activation, error) {
+func (p *Plan) execConv(st *step, in activation, b int, s *scratch) (activation, error) {
 	g := st.geom
 	if in.c != g.inC || in.h != g.inH || in.w != g.inW {
 		return in, fmt.Errorf("conv input %dx%dx%d, want %dx%dx%d",
@@ -583,7 +583,7 @@ func (p *Plan) execConv(st step, in activation, b int, s *scratch) (activation, 
 // execConvDirect is the reference implementation the packed path is
 // tested bit-exact against, and the fallback for convs the build did not
 // pack.
-func execConvDirect(st step, in, out activation) {
+func execConvDirect(st *step, in, out activation) {
 	g := st.geom
 	cPerG := g.inC / g.groups
 	oPerG := g.outC / g.groups
@@ -622,7 +622,7 @@ func execConvDirect(st step, in, out activation) {
 // M×b×K GEMM over the chunk's offset-u8 matrix; one image runs the
 // float64 GEMV with the requant fused when kernels.ExactF64 admitted the
 // step (bit-identical to the direct loop), otherwise the direct loop.
-func (p *Plan) execLinear(st step, in activation, b int, s *scratch) (activation, error) {
+func (p *Plan) execLinear(st *step, in activation, b int, s *scratch) (activation, error) {
 	if got := len(in.data) + len(in.u8); got != st.cols*b {
 		return in, fmt.Errorf("linear input %d values, want %d", got/b, st.cols)
 	}
@@ -665,7 +665,7 @@ func (p *Plan) execLinear(st step, in activation, b int, s *scratch) (activation
 
 // execLinearDirect is the 64-bit fallback and golden reference for the
 // linear kernels.
-func execLinearDirect(st step, in, out activation) {
+func execLinearDirect(st *step, in, out activation) {
 	for r := 0; r < st.rows; r++ {
 		acc := int64(st.bias[r])
 		row := st.weights[r*st.cols : (r+1)*st.cols]
@@ -678,7 +678,7 @@ func execLinearDirect(st step, in, out activation) {
 
 // execMaxPool takes each window's maximum, for each of the b images of
 // the activation.
-func execMaxPool(st step, in activation, b int, s *scratch) (activation, error) {
+func execMaxPool(st *step, in activation, b int, s *scratch) (activation, error) {
 	oh := (in.h-st.k)/st.stride + 1
 	ow := (in.w-st.k)/st.stride + 1
 	out := activation{data: s.get(in.c * oh * ow * b), c: in.c, h: oh, w: ow}

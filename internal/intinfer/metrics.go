@@ -107,16 +107,16 @@ func (p *Plan) initMetrics(r *obs.Registry) {
 // samples attribute to plan steps.
 func (p *Plan) execStep(i int, in activation, b int, s *scratch) (activation, error) {
 	if !p.pm.enabled {
-		return p.exec(p.steps[i], in, b, s)
+		return p.exec(&p.steps[i], in, b, s)
 	}
 	start := time.Now()
 	var out activation
 	var err error
 	if p.pm.labels {
 		pprof.Do(context.Background(), pprof.Labels("layer", p.steps[i].name),
-			func(context.Context) { out, err = p.exec(p.steps[i], in, b, s) })
+			func(context.Context) { out, err = p.exec(&p.steps[i], in, b, s) })
 	} else {
-		out, err = p.exec(p.steps[i], in, b, s)
+		out, err = p.exec(&p.steps[i], in, b, s)
 	}
 	p.pm.stepLatency[i].Observe(time.Since(start).Seconds())
 	return out, err
