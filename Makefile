@@ -1,9 +1,11 @@
 # Verification tiers for the term-revealing reproduction.
 #
 #   make tier1   build + full test suite (the repo's gate; ROADMAP.md)
-#   make tier2   vet + race-enabled tests: exercises InferBatchParallel
-#                and the intra-layer GEMM/GEMV row fan-out under the
-#                race detector (see TestParallelPathsUnderContention)
+#   make tier2   vet + race-enabled tests, then the intinfer batch
+#                driver's tests again under -race at -cpu 1,2,4:
+#                workers < 1 resolves to GOMAXPROCS, so how a batch
+#                splits into spans depends on the core count (see
+#                TestParallelPathsUnderContention)
 #   make tier3   vet + trlint (the custom static-invariant suite,
 #                DESIGN.md §8) + race-enabled tests
 #   make lint    trlint alone: quantnarrow, poolarena, asmparity,
@@ -82,8 +84,8 @@ cross-build:
 # the paper's evaluation serially end to end (model training + sweeps),
 # which race instrumentation stretches past 45 minutes while adding no
 # interleaving coverage. Every concurrent surface — the intinfer batch
-# and intra-image fan-outs, the kernels chunk goroutines — has its own
-# race-enabled suite in its own package. The explicit timeout keeps the
+# spans, the kernels chunk goroutines — has its own race-enabled suite
+# in its own package. The explicit timeout keeps the
 # slower race packages (models, intinfer, qsim) clear of go test's
 # default 10-minute per-package alarm.
 RACE_TIMEOUT ?= 20m
@@ -91,6 +93,7 @@ RACE_PKGS = $$($(GO) list ./... | grep -v /internal/experiments)
 
 tier2:
 	$(GO) vet ./... && $(GO) test -race -timeout $(RACE_TIMEOUT) $(RACE_PKGS)
+	$(GO) test -race -timeout $(RACE_TIMEOUT) -cpu 1,2,4 -run '^(TestBatchedConvMatchesClassify|TestParallel.*|TestInferBatch.*|TestLinear8BatchMatchesPerImage|TestNonFiniteInputsAgreeAcrossLanes|TestDeadlineCancels.*)$$' ./internal/intinfer
 
 tier3:
 	$(GO) vet ./...

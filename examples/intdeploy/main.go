@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -54,7 +55,7 @@ func main() {
 				fmt.Fprintln(os.Stderr, "intdeploy:", err)
 				os.Exit(1)
 			}
-			preds, err := plan.InferBatchParallel(test.Images, 0)
+			preds, err := plan.InferBatchContext(context.Background(), test.Images, 0)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "intdeploy:", err)
 				os.Exit(1)

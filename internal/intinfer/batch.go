@@ -71,84 +71,62 @@ func chunkWidth(steps []step) int {
 	return b
 }
 
-// inferBatchChunks is the serial batch engine of the batched lane — the
-// InferBatch regime: one scratch arena, images in chunk-sized slabs on
-// the caller's goroutine.
-func (p *Plan) inferBatchChunks(images [][]float32, stop *atomic.Bool) ([]int, error) {
-	preds := make([]int, len(images))
-	s := p.scratch(p.intraWorkers, stop)
-	p.pm.batchImages.Add(int64(len(images)))
-	if err := p.chunkSpan(images, preds, 0, s); err != nil {
-		p.pm.inferErrs.Inc()
-		p.failRelease(s)
-		return nil, err
-	}
-	p.released(s)
-	p.arena.Put(s)
-	return preds, nil
-}
-
-// inferBatchChunksParallel fans contiguous spans of the batch across
-// workers, each holding its own scratch and running its span as
-// chunks — the batched analogue of inferBatchParallel, with the same
-// first-error-stops-all contract: a failing span records its error
-// once, flips the shared stop flag, and every other worker aborts at
-// its next step or row-partition boundary. A flag set externally (the
-// ctx-aware wrappers) with no recorded error surfaces errStopped for
-// translation. A span holds at least two images, so it still runs
-// batched, and whole chunks once a worker gets more than one; a batch
-// too small to split runs on the caller's goroutine. Splitting a
-// served batch keeps its latency: run as one chunk on one core, closed_cnn's
-// p99 read about 35% above the per-image fan-out's.
-func (p *Plan) inferBatchChunksParallel(images [][]float32, workers int, stop *atomic.Bool) ([]int, error) {
+// inferBatch is the batch driver behind InferBatch and
+// InferBatchContext. It cuts the batch into contiguous spans, one per
+// worker (workers < 1: GOMAXPROCS), each run chunk by chunk out of its
+// own scratch; a plan off the batched lane runs chunks of one image. A
+// span holds at least two images when the plan batches, so it still
+// runs batched, and whole chunks once a worker gets more than one.
+// Splitting a served batch keeps its latency: run as one chunk on one
+// core, closed_cnn's p99 read about 35% above a per-image fan-out's.
+// With one worker left, the batch runs on the caller's goroutine.
+//
+// The first failing span records its error, which names the image, and
+// sets the shared stop flag; every other span stops at its next step. A
+// flag set from outside (the context wrapper's) with no recorded error
+// surfaces errStopped for translation. A nil flag is not cancellable.
+func (p *Plan) inferBatch(images [][]float32, workers int, stop *atomic.Bool) ([]int, error) {
+	width := max(p.chunk, 1)
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if spans := len(images) / 2; workers > spans {
-		workers = spans // at least two images per worker
-	}
-	if workers <= 1 {
-		return p.inferBatchChunks(images, stop)
-	}
+	workers = min(workers, len(images)/min(width, 2))
 	p.pm.batchImages.Add(int64(len(images)))
-	intra := p.intraWorkers / workers
-	if intra < 1 {
-		intra = 1
+	preds := make([]int, len(images))
+	if workers <= 1 {
+		if err := p.runSpan(images, preds, 0, stop); err != nil {
+			return nil, err
+		}
+		return preds, nil
+	}
+	if stop == nil {
+		stop = new(atomic.Bool) // spans still stop each other
 	}
 	span := (len(images) + workers - 1) / workers
-	if span > p.chunk {
-		span = (span + p.chunk - 1) / p.chunk * p.chunk
+	if span > width {
+		span = (span + width - 1) / width * width
 	}
-	preds := make([]int, len(images))
 	var (
 		errOnce  sync.Once
 		firstErr error
 		wg       sync.WaitGroup
 	)
 	for start := 0; start < len(images); start += span {
-		end := start + span
-		if end > len(images) {
-			end = len(images)
-		}
+		end := min(start+span, len(images))
 		wg.Add(1)
-		go func(start, end int) {
+		// The span's slices and the flag go in as arguments: captured,
+		// they would move preds and stop to the heap on every call,
+		// including the one-worker calls that never reach this loop.
+		go func(images [][]float32, preds []int, base int, stop *atomic.Bool) {
 			defer wg.Done()
 			if stop.Load() {
 				return
 			}
-			s := p.scratch(intra, stop)
-			if err := p.chunkSpan(images[start:end], preds[start:end], start, s); err != nil {
-				p.pm.inferErrs.Inc()
-				p.failRelease(s)
-				if !errors.Is(err, errStopped) {
-					errOnce.Do(func() { firstErr = err })
-					stop.Store(true)
-				}
-				return
+			if err := p.runSpan(images, preds, base, stop); err != nil && !errors.Is(err, errStopped) {
+				errOnce.Do(func() { firstErr = err })
+				stop.Store(true)
 			}
-			p.released(s)
-			p.arena.Put(s)
-		}(start, end)
+		}(images[start:end], preds[start:end], start, stop)
 	}
 	wg.Wait()
 	if firstErr != nil {
@@ -160,15 +138,30 @@ func (p *Plan) inferBatchChunksParallel(images [][]float32, workers int, stop *a
 	return preds, nil
 }
 
+// runSpan classifies one span out of one scratch, repairing and
+// recycling it on failure.
+func (p *Plan) runSpan(images [][]float32, preds []int, base int, stop *atomic.Bool) error {
+	s := p.scratch(stop)
+	if err := p.chunkSpan(images, preds, base, s); err != nil {
+		p.pm.inferErrs.Inc()
+		p.failRelease(s)
+		return err
+	}
+	p.released(s)
+	p.arena.Put(s)
+	return nil
+}
+
 // chunkSpan classifies images into preds chunk by chunk; base is the
 // absolute batch index of images[0], so errors attribute to the right
-// image in both the serial and the span-parallel drivers. A one-image
-// chunk takes the per-image lane instead (the float64 GEMV for
-// linears): one column would waste 15/16 of a linear's 16-wide panels.
+// image whichever span they fall in. A one-image chunk, and every chunk
+// of a plan off the batched lane, takes the per-image lane (the float64
+// GEMV for linears): one column would waste 15/16 of a linear's 16-wide
+// panels.
 func (p *Plan) chunkSpan(images [][]float32, preds []int, base int, s *scratch) error {
-	want := p.inC * p.inH * p.inW
-	for off := 0; off < len(images); off += p.chunk {
-		end := min(off+p.chunk, len(images))
+	want, width := p.inC*p.inH*p.inW, max(p.chunk, 1)
+	for off := 0; off < len(images); off += width {
+		end := min(off+width, len(images))
 		chunk := images[off:end]
 		for j, img := range chunk {
 			if len(img) != want {
@@ -187,8 +180,8 @@ func (p *Plan) chunkSpan(images [][]float32, preds []int, base int, s *scratch) 
 				return errStopped
 			}
 			// A mid-chain failure cannot be pinned to one column; report
-			// the chunk through its first image, like a step error in the
-			// per-image batch loop reports the in-flight image.
+			// the chunk through its first image, which for a one-image
+			// chunk is the image itself.
 			return fmt.Errorf("intinfer: image %d: %w", base+off, err)
 		}
 	}
@@ -295,11 +288,11 @@ func quantizeColumns(dst []uint8, images [][]float32, inv float64) {
 
 // gemm8Batch runs one batched linear: PackBBlocked lays the k×b
 // offset-u8 matrix u8 out as panels with the step's (NR, KC) traversal,
-// then the row driver shared with conv steps computes them in MR-row
-// blocks.
-func (p *Plan) gemm8Batch(s *scratch, dst []int32, pa *kernels.PackedA, u8 []uint8,
+// then Gemm8Blocks, the kernel a conv step also runs, computes them in
+// MR-row blocks.
+func gemm8Batch(s *scratch, dst []int32, pa *kernels.PackedA, u8 []uint8,
 	b int, t kernels.Tile, mult float64, lo, hi int32) {
 	pb := s.bpack[:kernels.PackBSize(pa.K, b)]
 	kernels.PackBBlocked(pb, u8, pa.K, b, t.NR, t.KC)
-	p.gemm8(s, dst, pa, pb, b, t.MR, mult, lo, hi)
+	kernels.Gemm8Blocks(dst, pa, pb, b, t.MR, mult, lo, hi)
 }

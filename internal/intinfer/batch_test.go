@@ -1,6 +1,7 @@
 package intinfer
 
 import (
+	"context"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -41,7 +42,7 @@ func buildLinear8(t *testing.T, opts Options) (*Plan, *datasets.ImageDataset) {
 // every batch size — below, at, above and straddling the chunk width —
 // the batched predictions equal per-image Classify, exactly.
 func TestLinear8BatchMatchesPerImage(t *testing.T) {
-	plan, test := buildLinear8(t, Options{IntraWorkers: 2})
+	plan, test := buildLinear8(t, Options{})
 	for _, b := range []int{1, 7, maxChunk, maxChunk + 1, 2*maxChunk + 2} {
 		images := test.Images[:b]
 		want := make([]int, b)
@@ -62,7 +63,7 @@ func TestLinear8BatchMatchesPerImage(t *testing.T) {
 			}
 		}
 		for _, workers := range []int{1, 3} {
-			par, err := plan.InferBatchParallel(images, workers)
+			par, err := plan.InferBatchContext(context.Background(), images, workers)
 			if err != nil {
 				t.Fatalf("b=%d workers=%d: %v", b, workers, err)
 			}
@@ -81,7 +82,7 @@ func TestLinear8BatchMatchesPerImage(t *testing.T) {
 // move. This is the plan-level face of the kernel property that blocking
 // never changes arithmetic — the autotuner may pick any tile.
 func TestLinear8TileInvariance(t *testing.T) {
-	plan, test := buildLinear8(t, Options{IntraWorkers: 1})
+	plan, test := buildLinear8(t, Options{})
 	images := test.Images[:maxChunk+3]
 	want, err := plan.InferBatch(images)
 	if err != nil {
@@ -112,7 +113,7 @@ func TestLinear8TileInvariance(t *testing.T) {
 // chunk must take the float64 GEMV instead.
 func TestLinear8DispatchCounters(t *testing.T) {
 	reg := obs.New()
-	plan, test := buildLinear8(t, Options{Obs: reg, IntraWorkers: 1})
+	plan, test := buildLinear8(t, Options{Obs: reg})
 	linear8C := reg.Counter("trq_intinfer_dispatch_total", "path", "linear8")
 	gemvC := reg.Counter("trq_intinfer_dispatch_total", "path", "gemv_f64")
 	linears := int64(0)
@@ -144,14 +145,14 @@ func TestLinear8DispatchCounters(t *testing.T) {
 
 // TestLinear8SteadyStateAllocs pins the lane's allocation budget: after
 // arena warmup a batch costs exactly one heap object, the predictions
-// slice handed to the caller — with metrics enabled, since the
-// regression this guards against (pprof label maps allocating per step)
-// only fired on observed plans.
+// slice handed to the caller — with metrics enabled, since an earlier
+// regression (pprof label maps allocating per step) only fired on
+// observed plans.
 func TestLinear8SteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool fakes misses under the race detector")
 	}
-	plan, test := buildLinear8(t, Options{Obs: obs.New(), IntraWorkers: 1})
+	plan, test := buildLinear8(t, Options{Obs: obs.New()})
 	images := test.Images[:maxChunk]
 	if _, err := plan.InferBatch(images); err != nil { // warm the arena
 		t.Fatal(err)
@@ -163,21 +164,31 @@ func TestLinear8SteadyStateAllocs(t *testing.T) {
 	}); n > 1 {
 		t.Errorf("batched InferBatch allocates %.2f objects per call, want ≤ 1", n)
 	}
+	// offline_mlp's call: a context that cannot be cancelled, one
+	// worker. It runs the same program, so it keeps the one allocation;
+	// a goroutine closure that captured preds or the (nil) stop flag
+	// would move them to the heap here.
+	if n := testing.AllocsPerRun(50, func() {
+		if _, err := plan.InferBatchContext(context.Background(), images, 1); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1 {
+		t.Errorf("InferBatchContext(Background, %d images, 1) allocates %.2f objects per call, want ≤ 1",
+			len(images), n)
+	}
 }
 
 // TestObservedClassifySteadyStateAllocs pins the fix for the
-// observed-plan allocation regression: with a registry wired but
-// ProfileLabels off (the default), Classify must stay allocation-free
-// for both the MLP and the conv pipeline. Before the
-// labels gate, pprof label plumbing allocated on every step of every
-// observed inference (~1441 objects per conv batch op).
+// observed-plan allocation regression: with a registry wired, Classify
+// must stay allocation-free for both the MLP and the conv pipeline.
+// pprof label plumbing once allocated on every step of every observed
+// inference (~1441 objects per conv batch op).
 func TestObservedClassifySteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool fakes misses under the race detector")
 	}
 	m, train, test := trainedMLP(t)
-	plan, err := Build(m, Options{Calibration: train.Images[:32],
-		IntraWorkers: 1, Obs: obs.New()})
+	plan, err := Build(m, Options{Calibration: train.Images[:32], Obs: obs.New()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,8 +208,7 @@ func TestObservedClassifySteadyStateAllocs(t *testing.T) {
 	cm := models.NewVGGStyle(g, 45)
 	qsim.FoldBatchNorm(cm)
 	ds := datasets.ImageClasses(16, g.Classes, g.InC, g.InH, g.InW, 46)
-	cplan, err := Build(cm, Options{Calibration: ds.Images,
-		IntraWorkers: 1, Obs: obs.New()})
+	cplan, err := Build(cm, Options{Calibration: ds.Images, Obs: obs.New()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +236,7 @@ func TestLinear8BadImageIndex(t *testing.T) {
 	if _, err := plan.InferBatch(batch); err == nil || !strings.Contains(err.Error(), "image 130") {
 		t.Errorf("serial error %v does not name image 130", err)
 	}
-	if _, err := plan.InferBatchParallel(batch, 3); err == nil || !strings.Contains(err.Error(), "image 130") {
+	if _, err := plan.InferBatchContext(context.Background(), batch, 3); err == nil || !strings.Contains(err.Error(), "image 130") {
 		t.Errorf("parallel error %v does not name image 130", err)
 	}
 }

@@ -46,7 +46,7 @@ func demoCNNs() []struct {
 // column's final codes against the per-image lane's, code for code.
 func assertChunkCodes(tb testing.TB, p *Plan, images [][]float32, label string) {
 	tb.Helper()
-	s := p.scratch(1, nil)
+	s := p.scratch(nil)
 	chunk, err := p.chunkCodes(images, s)
 	if err != nil {
 		tb.Fatalf("%s: chunk of %d: %v", label, len(images), err)
@@ -85,7 +85,7 @@ func TestBatchedConvMatchesClassify(t *testing.T) {
 	defer cancel()
 	for _, c := range demoCNNs() {
 		fam, err := BuildFamily(c.m, Options{Calibration: ds.Images[:16], GroupSize: 8,
-			Budgets: []int{4, 8, 12}, IntraWorkers: 2})
+			Budgets: []int{4, 8, 12}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +109,7 @@ func TestBatchedConvMatchesClassify(t *testing.T) {
 				if got["InferBatch"], err = p.InferBatch(batch); err != nil {
 					t.Fatal(err)
 				}
-				if got["InferBatchParallel"], err = p.InferBatchParallel(batch, 2); err != nil {
+				if got["InferBatchContext/background"], err = p.InferBatchContext(context.Background(), batch, 2); err != nil {
 					t.Fatal(err)
 				}
 				if got["InferBatchContext/serial"], err = p.InferBatchContext(ctx, batch, 1); err != nil {
@@ -220,12 +220,12 @@ func TestResidualReLUFoldBitExact(t *testing.T) {
 		for _, p := range []*Plan{folded, unfolded} {
 			assertChunkCodes(t, p, images, c.name)
 		}
-		s := folded.scratch(1, nil)
+		s := folded.scratch(nil)
 		a, err := folded.chunkCodes(images, s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		u := unfolded.scratch(1, nil)
+		u := unfolded.scratch(nil)
 		b, err := unfolded.chunkCodes(images, u)
 		if err != nil {
 			t.Fatal(err)
@@ -265,7 +265,7 @@ func buildDemoResNet(tb testing.TB, opts Options) (*Plan, [][]float32) {
 // worker, down to two images each.
 func TestBatchedConvDispatchCounters(t *testing.T) {
 	reg := obs.New()
-	p, images := buildDemoResNet(t, Options{Obs: reg, IntraWorkers: 1})
+	p, images := buildDemoResNet(t, Options{Obs: reg})
 	convs := int64(len(convSteps(p.steps)))
 	paths := []string{"gemm8", "linear8", "gemv_f64", "direct"}
 	check := func(b, workers int, want map[string]int64) {
@@ -274,7 +274,7 @@ func TestBatchedConvDispatchCounters(t *testing.T) {
 		for _, path := range paths {
 			before[path] = reg.Counter("trq_intinfer_dispatch_total", "path", path).Value()
 		}
-		if _, err := p.InferBatchParallel(images[:b], workers); err != nil {
+		if _, err := p.InferBatchContext(context.Background(), images[:b], workers); err != nil {
 			t.Fatal(err)
 		}
 		for _, path := range paths {
@@ -292,13 +292,18 @@ func TestBatchedConvDispatchCounters(t *testing.T) {
 
 // TestBatchedConvSteadyStateAllocs: after arena warmup a CNN InferBatch
 // allocates nothing but the predictions slice it returns, observed or
-// not.
+// not; and the served call — a cancellable context, workers 0, batches
+// of 1, 4 and 8 — stays within six objects (the context watch, the
+// flag and the predictions). A goroutine closure that captured preds or
+// the flag would move them to the heap and show here.
 func TestBatchedConvSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool fakes misses under the race detector")
 	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	for _, reg := range []*obs.Registry{nil, obs.New()} {
-		p, images := buildDemoResNet(t, Options{Obs: reg, IntraWorkers: 1})
+		p, images := buildDemoResNet(t, Options{Obs: reg})
 		batch := images[:8]
 		if _, err := p.InferBatch(batch); err != nil { // warm the arena
 			t.Fatal(err)
@@ -309,6 +314,16 @@ func TestBatchedConvSteadyStateAllocs(t *testing.T) {
 			}
 		}); n > 1 {
 			t.Errorf("observed=%v: CNN InferBatch allocates %.2f objects per call, want ≤ 1", reg != nil, n)
+		}
+		for _, b := range []int{1, 4, 8} {
+			if n := testing.AllocsPerRun(50, func() {
+				if _, err := p.InferBatchContext(ctx, images[:b], 0); err != nil {
+					t.Fatal(err)
+				}
+			}); n > 6 {
+				t.Errorf("observed=%v b=%d: served InferBatchContext allocates %.2f objects per call, want ≤ 6",
+					reg != nil, b, n)
+			}
 		}
 	}
 }
@@ -340,11 +355,11 @@ func TestBatchedConvDeadline(t *testing.T) {
 // returns errStopped at its first step boundary, before any kernel runs.
 func TestBatchedConvChunkObservesStop(t *testing.T) {
 	reg := obs.New()
-	p, images := buildDemoResNet(t, Options{Obs: reg, IntraWorkers: 1})
+	p, images := buildDemoResNet(t, Options{Obs: reg})
 	gemm8 := reg.Counter("trq_intinfer_dispatch_total", "path", "gemm8")
 	var stop atomic.Bool
 	stop.Store(true)
-	s := p.scratch(1, &stop)
+	s := p.scratch(&stop)
 	preds := make([]int, 8)
 	if err := p.runChunk(images[:8], preds, s); !errors.Is(err, errStopped) {
 		t.Fatalf("chunk under a set stop flag returned %v, want errStopped", err)

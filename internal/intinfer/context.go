@@ -9,18 +9,17 @@ import (
 // The ctx-aware entry points map context cancellation onto the runtime's
 // cooperative stop-flag machinery: a context.AfterFunc sets the shared
 // atomic flag the moment the context is done, and the flag is polled
-// between plan steps and between GEMM/GEMV row partitions — so a
-// deadline interrupts even a large half-finished layer on the serial
-// path, not just the parallel batch driver. The internal errStopped
-// sentinel never escapes: it is translated back into the context's own
-// error before returning.
+// between plan steps — so a deadline interrupts a batch at its next
+// step whether it runs on one goroutine or several. The internal
+// errStopped sentinel never escapes: it is translated back into the
+// context's own error before returning.
 
 // ClassifyContext is Classify with cooperative cancellation. A context
 // that can never be cancelled (Done() == nil, e.g. context.Background())
 // takes the plain path with zero overhead; otherwise the inference polls
-// the context's state at step and row-partition granularity and returns
-// ctx.Err() once it is done. A context that is already done returns
-// immediately without acquiring a scratch arena.
+// the context's state between steps and returns ctx.Err() once it is
+// done. A context that is already done returns immediately without
+// acquiring a scratch arena.
 func (p *Plan) ClassifyContext(ctx context.Context, img []float32) (int, error) {
 	if ctx.Done() == nil {
 		return p.Classify(img)
@@ -31,28 +30,25 @@ func (p *Plan) ClassifyContext(ctx context.Context, img []float32) (int, error) 
 	var stop atomic.Bool
 	unwatch := context.AfterFunc(ctx, func() { stop.Store(true) })
 	defer unwatch()
-	cls, err := p.classify(img, p.intraWorkers, &stop)
+	cls, err := p.classify(img, &stop)
 	if errors.Is(err, errStopped) {
 		return 0, ctxErr(ctx)
 	}
 	return cls, err
 }
 
-// InferBatchContext classifies a batch under a context. workers selects
-// the batch-level parallelism exactly as in InferBatchParallel (< 1 =
-// GOMAXPROCS), except workers == 1, which runs the images serially on
-// the caller's goroutine holding a single scratch arena (the InferBatch
-// regime) — cancellable all the same, because the flag rides in the
-// scratch. On cancellation the batch stops at the next step or
-// row-partition boundary and returns ctx.Err(); a real inference
-// failure is returned wrapped with its image index, as in the plain
-// batch paths.
+// InferBatchContext classifies a batch under a context, across workers
+// goroutines (< 1 = GOMAXPROCS; see inferBatch for how the batch is
+// split). workers == 1 runs the batch serially on the caller's goroutine
+// out of one scratch arena, as InferBatch does — cancellable all the
+// same, because the flag rides in the scratch. A plan is immutable after
+// Build, so any number of these calls may run at once. On cancellation
+// the batch stops at its next step and returns ctx.Err(); a real
+// inference failure stops every worker and comes back wrapped with its
+// image index.
 func (p *Plan) InferBatchContext(ctx context.Context, images [][]float32, workers int) ([]int, error) {
 	if ctx.Done() == nil {
-		if workers == 1 {
-			return p.InferBatch(images)
-		}
-		return p.InferBatchParallel(images, workers)
+		return p.inferBatch(images, workers, nil)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -60,15 +56,7 @@ func (p *Plan) InferBatchContext(ctx context.Context, images [][]float32, worker
 	var stop atomic.Bool
 	unwatch := context.AfterFunc(ctx, func() { stop.Store(true) })
 	defer unwatch()
-	var (
-		preds []int
-		err   error
-	)
-	if workers == 1 {
-		preds, err = p.inferBatchSerial(images, &stop)
-	} else {
-		preds, err = p.inferBatchParallel(images, workers, &stop)
-	}
+	preds, err := p.inferBatch(images, workers, &stop)
 	if errors.Is(err, errStopped) {
 		return nil, ctxErr(ctx)
 	}

@@ -84,7 +84,7 @@ func TestPreCancelledContextReturnsPromptly(t *testing.T) {
 // while a large serial batch is in flight. The batch must stop at a step
 // boundary and surface context.DeadlineExceeded — this is the path that
 // was entirely uncancellable before the ctx plumbing (the stop flag was
-// only ever set by InferBatchParallel's failure protocol).
+// only ever set by the parallel driver's failure protocol).
 func TestDeadlineCancelsSerialBatchMidFlight(t *testing.T) {
 	m, train, test := trainedMLP(t)
 	plan, err := Build(m, Options{Calibration: train.Images[:16]})

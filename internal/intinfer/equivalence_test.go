@@ -1,6 +1,7 @@
 package intinfer
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -226,7 +227,7 @@ func TestClassifySteadyStateAllocs(t *testing.T) {
 		t.Skip("sync.Pool fakes misses under the race detector")
 	}
 	m, train, test := trainedMLP(t)
-	plan, err := Build(m, Options{Calibration: train.Images[:32], IntraWorkers: 1})
+	plan, err := Build(m, Options{Calibration: train.Images[:32]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +247,7 @@ func TestClassifySteadyStateAllocs(t *testing.T) {
 	cm := models.NewVGGStyle(g, 41)
 	qsim.FoldBatchNorm(cm)
 	ds := datasets.ImageClasses(16, g.Classes, g.InC, g.InH, g.InW, 42)
-	cplan, err := Build(cm, Options{Calibration: ds.Images, IntraWorkers: 1})
+	cplan, err := Build(cm, Options{Calibration: ds.Images})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,18 +266,12 @@ func TestClassifySteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestParallelPathsUnderContention exercises both parallelism levels at
-// once — batch workers via InferBatchParallel and intra-image row
-// partitioning forced on by dropping intraMinWork — so the race
-// detector (tier-2) sees the full concurrent surface, and the results
-// still match the serial path exactly.
+// TestParallelPathsUnderContention runs batches split across span
+// workers, so the race detector (tier-2) sees the driver's concurrent
+// surface, and the results still match the serial path exactly.
 func TestParallelPathsUnderContention(t *testing.T) {
-	old := intraMinWork
-	intraMinWork = 1 // force row fan-out on every layer
-	defer func() { intraMinWork = old }()
-
 	m, train, test := trainedMLP(t)
-	plan, err := Build(m, Options{Calibration: train.Images[:32], IntraWorkers: 4})
+	plan, err := Build(m, Options{Calibration: train.Images[:32]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +279,7 @@ func TestParallelPathsUnderContention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := plan.InferBatchParallel(test.Images[:48], 4)
+	par, err := plan.InferBatchContext(context.Background(), test.Images[:48], 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,12 +289,12 @@ func TestParallelPathsUnderContention(t *testing.T) {
 		}
 	}
 
-	// A conv model walks the GEMM fan-out rather than the GEMV one.
+	// A conv model runs its spans through the gather and packed GEMM.
 	g := models.CNNGeom{InC: 3, InH: 8, InW: 8, Classes: 4}
 	cm := models.NewVGGStyle(g, 43)
 	qsim.FoldBatchNorm(cm)
 	ds := datasets.ImageClasses(32, g.Classes, g.InC, g.InH, g.InW, 44)
-	cplan, err := Build(cm, Options{Calibration: ds.Images[:16], IntraWorkers: 3})
+	cplan, err := Build(cm, Options{Calibration: ds.Images[:16]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +302,7 @@ func TestParallelPathsUnderContention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err := cplan.InferBatchParallel(ds.Images, 3)
+	cp, err := cplan.InferBatchContext(context.Background(), ds.Images, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +327,7 @@ func TestParallelErrorStopsWorkers(t *testing.T) {
 	for len(batch) < 120 {
 		batch = append(batch, test.Images[len(batch)%len(test.Images)])
 	}
-	if _, err := plan.InferBatchParallel(batch, 4); err == nil {
+	if _, err := plan.InferBatchContext(context.Background(), batch, 4); err == nil {
 		t.Fatal("bad image did not surface an error")
 	}
 }

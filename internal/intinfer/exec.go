@@ -1,14 +1,9 @@
 package intinfer
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"runtime/pprof"
-	"strconv"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/kernels"
@@ -44,16 +39,14 @@ type activation struct {
 // would regrow the arena from cold on the next acquisition — the leak
 // this repair exists to prevent).
 type scratch struct {
-	free    [][]int32 // available activation buffers, each cap bufCap
-	all     [][]int32 // every arena-owned buffer, the reset source
-	bufCap  int
-	stage   *kernels.GatherStage
-	bpack   []uint8   // packed B panels (packed int8 GEMM path)
-	xf, yf  []float64 // input and output codes of a GemvF64 step
-	u8      []uint8   // a batched linear's k×b offset-u8 B operand (and the chunk quantizer's output)
-	wg      sync.WaitGroup
-	workers int          // intra-image worker budget for this inference
-	stop    *atomic.Bool // cooperative cancellation flag; nil when unused
+	free   [][]int32 // available activation buffers, each cap bufCap
+	all    [][]int32 // every arena-owned buffer, the reset source
+	bufCap int
+	stage  *kernels.GatherStage
+	bpack  []uint8      // packed B panels (packed int8 GEMM path)
+	xf, yf []float64    // input and output codes of a GemvF64 step
+	u8     []uint8      // a batched linear's k×b offset-u8 B operand (and the chunk quantizer's output)
+	stop   *atomic.Bool // cooperative cancellation flag; nil when unused
 }
 
 func (p *Plan) newScratch() *scratch {
@@ -101,14 +94,13 @@ func (s *scratch) put(b []int32) {
 }
 
 // scratch fetches a recycled arena from the pool and arms it with the
-// intra-image worker budget and the (possibly nil) cancellation flag for
-// this call. Both fields are overwritten on every acquisition, so a flag
-// left set by a cancelled inference cannot leak into the next one.
+// (possibly nil) cancellation flag for this call. The flag is
+// overwritten on every acquisition, so a flag left set by a cancelled
+// inference cannot leak into the next one.
 //
 //trlint:arena-acquire
-func (p *Plan) scratch(workers int, stop *atomic.Bool) *scratch {
+func (p *Plan) scratch(stop *atomic.Bool) *scratch {
 	s := p.arena.Get().(*scratch)
-	s.workers = workers
 	s.stop = stop
 	p.pm.scratchGet.Inc()
 	p.pm.scratchLive.Add(1)
@@ -138,9 +130,8 @@ func (p *Plan) failRelease(s *scratch) {
 }
 
 // stopped polls the cooperative cancellation flag. It is checked between
-// plan steps and between GEMM/GEMV row partitions, so a batch failure
-// interrupts even a single large in-flight layer instead of waiting for
-// the whole image to finish.
+// plan steps, so a batch failure or a cancellation interrupts an image
+// or a chunk at its next step instead of waiting for it to finish.
 func (s *scratch) stopped() bool { return s.stop != nil && s.stop.Load() }
 
 // run quantizes the image and executes the step chain, returning the
@@ -181,7 +172,7 @@ func (p *Plan) runSteps(act activation, b int, s *scratch) (activation, error) {
 // pixel quantizes to code 0 and ±Inf saturates to ±127, so non-finite
 // input yields a defined answer, the same on every entry point.
 func (p *Plan) Infer(img []float32) ([]float32, int, error) {
-	s := p.scratch(p.intraWorkers, nil)
+	s := p.scratch(nil)
 	p.pm.infers.Inc()
 	act, err := p.run(img, s)
 	if err != nil {
@@ -208,11 +199,11 @@ func (p *Plan) Infer(img []float32) ([]float32, int, error) {
 // is the form the batch paths use. Non-finite pixels are handled as in
 // Infer.
 func (p *Plan) Classify(img []float32) (int, error) {
-	return p.classify(img, p.intraWorkers, nil)
+	return p.classify(img, nil)
 }
 
-func (p *Plan) classify(img []float32, workers int, stop *atomic.Bool) (int, error) {
-	s := p.scratch(workers, stop)
+func (p *Plan) classify(img []float32, stop *atomic.Bool) (int, error) {
+	s := p.scratch(stop)
 	best, err := p.runClass(img, s)
 	if err != nil {
 		p.pm.inferErrs.Inc()
@@ -243,41 +234,11 @@ func (p *Plan) runClass(img []float32, s *scratch) (int, error) {
 	return best, nil
 }
 
-// InferBatch classifies a batch and returns predictions, holding one
-// scratch arena for the whole batch. Every prediction equals Classify's
-// for the same image, non-finite pixels included.
+// InferBatch classifies a batch and returns predictions, running it on
+// the caller's goroutine out of one scratch arena. Every prediction
+// equals Classify's for the same image, non-finite pixels included.
 func (p *Plan) InferBatch(images [][]float32) ([]int, error) {
-	return p.inferBatchSerial(images, nil)
-}
-
-// inferBatchSerial is InferBatch's engine with an externally owned
-// cancellation flag (nil = not cancellable). The flag is threaded into
-// the scratch, so it is observed between plan steps and between kernel
-// row partitions even though the images run one after another. A
-// cancellation surfaces as errStopped for the ctx-aware wrappers to
-// translate; real failures come back wrapped with the image index.
-func (p *Plan) inferBatchSerial(images [][]float32, stop *atomic.Bool) ([]int, error) {
-	if p.chunk > 0 {
-		return p.inferBatchChunks(images, stop)
-	}
-	preds := make([]int, len(images))
-	s := p.scratch(p.intraWorkers, stop)
-	p.pm.batchImages.Add(int64(len(images)))
-	for i, img := range images {
-		cls, err := p.runClass(img, s)
-		if err != nil {
-			p.pm.inferErrs.Inc()
-			p.failRelease(s)
-			if errors.Is(err, errStopped) {
-				return nil, errStopped
-			}
-			return nil, fmt.Errorf("intinfer: image %d: %w", i, err)
-		}
-		preds[i] = cls
-	}
-	p.released(s)
-	p.arena.Put(s)
-	return preds, nil
+	return p.inferBatch(images, 1, nil)
 }
 
 // Accuracy evaluates the plan over a labelled set. The two slices must
@@ -455,88 +416,6 @@ func requant(acc int64, m float64, lo, hi int32) int32 {
 	return int32(v)
 }
 
-// intraMinWork is the multiply-accumulate count above which a single
-// layer's GEMM rows are partitioned across goroutines. A variable so the
-// race tests can force the parallel path on small models.
-var intraMinWork = 1 << 21
-
-// gemm8 is the packed-GEMM row driver shared by conv steps and the
-// packed linear lane: over an already-packed B (pb, k×n), the 4-row
-// output panels run with the requant fused, in MR-row blocks, and split
-// across workers in whole MR blocks when the layer is large enough to
-// amortize the fan-out. Panels map to disjoint dst rows, so workers
-// need no synchronization beyond the scratch-owned WaitGroup (which
-// keeps the fan-out allocation-free). The single-threaded path is
-// kernels.Gemm8Blocks, the loop the autotuner times.
-func (p *Plan) gemm8(s *scratch, dst []int32, pa *kernels.PackedA, pb []uint8,
-	n, mr int, mult float64, lo, hi int32) {
-	workers := s.workers
-	if workers > pa.MP {
-		workers = pa.MP // at least one 4-row panel per worker
-	}
-	if workers <= 1 || pa.M*n*pa.K < intraMinWork {
-		kernels.Gemm8Blocks(dst, pa, pb, n, mr, mult, lo, hi)
-		return
-	}
-	mrp := kernels.RowPanels(mr, pa.MP)
-	chunk := (pa.MP + workers - 1) / workers
-	chunk = (chunk + mrp - 1) / mrp * mrp // whole MR blocks per worker
-	for p0 := 0; p0 < pa.MP; p0 += chunk {
-		p1 := p0 + chunk
-		if p1 > pa.MP {
-			p1 = pa.MP
-		}
-		s.wg.Add(1)
-		go gemm8Chunk(&s.wg, s.stop, dst, pa, pb, n, p0, p1, mult, lo, hi)
-	}
-	s.wg.Wait()
-}
-
-func gemm8Chunk(wg *sync.WaitGroup, stop *atomic.Bool, dst []int32,
-	pa *kernels.PackedA, pb []uint8, n, p0, p1 int, mult float64, lo, hi int32) {
-	defer wg.Done()
-	if stop != nil && stop.Load() {
-		return
-	}
-	kernels.Gemm8Rows(dst, pa, pb, n, p0, p1, mult, lo, hi)
-}
-
-// gemvF64 runs the float64-carried single-column linear kernel,
-// splitting output rows across workers when the layer is large enough
-// to amortize the fan-out; workers write disjoint row ranges of dst and
-// share the read-only x.
-func (p *Plan) gemvF64(s *scratch, dst, a, x, bias []float64,
-	m, k int, mult, lo, hi float64) {
-	p.pm.dispatchGemvF64.Inc()
-	workers := s.workers
-	if max := m / 8; workers > max {
-		workers = max
-	}
-	if workers <= 1 || m*k < intraMinWork {
-		kernels.GemvF64(dst, a, x, bias, 0, m, k, mult, lo, hi)
-		return
-	}
-	chunk := (m + workers - 1) / workers
-	for r0 := 0; r0 < m; r0 += chunk {
-		r1 := r0 + chunk
-		if r1 > m {
-			r1 = m
-		}
-		s.wg.Add(1)
-		go gemvF64Chunk(&s.wg, s.stop, dst, a, x, bias, r0, r1, k, mult, lo, hi)
-	}
-	s.wg.Wait()
-}
-
-func gemvF64Chunk(wg *sync.WaitGroup, stop *atomic.Bool, dst, a, x, bias []float64,
-	r0, r1, k int, mult, lo, hi float64) {
-	defer wg.Done()
-	if stop != nil && stop.Load() {
-		return
-	}
-	kernels.GemvF64(dst, a, x, bias, r0, r1, k, mult, lo, hi)
-}
-
 // execConv runs a packed conv as one gather pass plus the packed GEMM
 // per group, over all b images of the activation at once, and any conv
 // the build did not pack (kernels.AccumFitsU8, or a padded input too
@@ -573,7 +452,7 @@ func (p *Plan) execConv(st *step, in activation, b int, s *scratch) (activation,
 	for grp := 0; grp < g.groups; grp++ {
 		st.gather.Pack(pb, in.data[grp*src:][:src], b, s.stage)
 		p.pm.dispatchGemm8.Inc()
-		p.gemm8(s, out.data[grp*oPerG*n:][:oPerG*n], st.pack8[grp], pb,
+		kernels.Gemm8Blocks(out.data[grp*oPerG*n:][:oPerG*n], st.pack8[grp], pb,
 			n, st.tile.MR, st.mult, st.lo, st.hi)
 	}
 	s.put(in.data)
@@ -637,7 +516,7 @@ func (p *Plan) execLinear(st *step, in activation, b int, s *scratch) (activatio
 		}
 		out := activation{data: s.get(st.rows * b), flat: true}
 		p.pm.dispatchLinear8.Inc()
-		p.gemm8Batch(s, out.data, st.pack8lin, u8, b, st.tile, st.mult, st.lo, st.hi)
+		gemm8Batch(s, out.data, st.pack8lin, u8, b, st.tile, st.mult, st.lo, st.hi)
 		s.put(in.data)
 		return out, nil
 	}
@@ -653,7 +532,8 @@ func (p *Plan) execLinear(st *step, in activation, b int, s *scratch) (activatio
 		xf[i] = float64(v)
 	}
 	yf := s.yf[:st.rows]
-	p.gemvF64(s, yf, st.wf64, xf, st.bf64, st.rows, st.cols,
+	p.pm.dispatchGemvF64.Inc()
+	kernels.GemvF64(yf, st.wf64, xf, st.bf64, 0, st.rows, st.cols,
 		st.mult, float64(st.lo), float64(st.hi))
 	for i, v := range yf {
 		//trlint:checked GemvF64 clamps every code to the step's [lo, hi]
@@ -703,95 +583,4 @@ func execMaxPool(st *step, in activation, b int, s *scratch) (activation, error)
 	}
 	s.put(in.data)
 	return out, nil
-}
-
-// classifyLabelled is classify with a runtime/pprof "image" label
-// around the inference when label profiling is on, so profile samples
-// taken through the obs endpoint attribute to batch positions. The
-// label plumbing allocates a context and a label set per image, which
-// is why it is gated behind Options.ProfileLabels rather than riding
-// along with the metrics.
-func (p *Plan) classifyLabelled(img []float32, idx, workers int, stop *atomic.Bool) (int, error) {
-	if !p.pm.enabled || !p.pm.labels {
-		return p.classify(img, workers, stop)
-	}
-	var cls int
-	var err error
-	pprof.Do(context.Background(), pprof.Labels("image", strconv.Itoa(idx)),
-		func(context.Context) { cls, err = p.classify(img, workers, stop) })
-	return cls, err
-}
-
-// InferBatchParallel classifies a batch with a worker pool; a Plan is
-// immutable after Build, so concurrent inference is safe. workers < 1
-// selects GOMAXPROCS. The first error stops all workers: each checks a
-// shared atomic flag before starting an image, and the flag is threaded
-// into every in-flight inference, where it is re-checked between plan
-// steps and between GEMM/GEMV row partitions — so a failure early in
-// the batch interrupts even a large half-finished layer instead of
-// letting the remaining workers grind through the rest. The returned
-// error wraps the index of the image that failed.
-// The intra-image worker budget is divided by the batch workers so the
-// two levels of parallelism compose instead of oversubscribing.
-func (p *Plan) InferBatchParallel(images [][]float32, workers int) ([]int, error) {
-	var stop atomic.Bool
-	return p.inferBatchParallel(images, workers, &stop)
-}
-
-// inferBatchParallel is InferBatchParallel's engine. The stop flag is
-// caller-owned so the ctx-aware wrappers can set it from outside (a
-// deadline or cancellation); the workers additionally set it themselves
-// on the first internal failure. When the flag was set externally — the
-// workers went down but none recorded an error — the batch surfaces
-// errStopped for the wrapper to translate into the context's error.
-func (p *Plan) inferBatchParallel(images [][]float32, workers int, stop *atomic.Bool) ([]int, error) {
-	if p.chunk > 0 {
-		return p.inferBatchChunksParallel(images, workers, stop)
-	}
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(images) && len(images) > 0 {
-		workers = len(images)
-	}
-	p.pm.batchImages.Add(int64(len(images)))
-	intra := p.intraWorkers / workers
-	if intra < 1 {
-		intra = 1
-	}
-	preds := make([]int, len(images))
-	var (
-		errOnce  sync.Once
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	for wkr := 0; wkr < workers; wkr++ {
-		wg.Add(1)
-		go func(wkr int) {
-			defer wg.Done()
-			for i := wkr; i < len(images); i += workers {
-				if stop.Load() {
-					return
-				}
-				cls, err := p.classifyLabelled(images[i], i, intra, stop)
-				if err != nil {
-					if errors.Is(err, errStopped) {
-						return // the flag is already set: a peer failed, or the caller cancelled
-					}
-					errOnce.Do(func() { firstErr = fmt.Errorf("intinfer: image %d: %w", i, err) })
-					stop.Store(true)
-					return
-				}
-				preds[i] = cls
-			}
-		}(wkr)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if stop.Load() {
-		return nil, errStopped // external cancellation, no internal error
-	}
-	return preds, nil
 }

@@ -198,15 +198,6 @@ func (f *Family) InputDims() (c, h, w int) { return f.plans[0].InputDims() }
 // Classes returns the number of output classes every rung produces.
 func (f *Family) Classes() int { return f.plans[0].Classes() }
 
-// ClassifyContext classifies one image at an exact ladder budget.
-func (f *Family) ClassifyContext(ctx context.Context, img []float32, budget int) (int, error) {
-	p, ok := f.Plan(budget)
-	if !ok {
-		return 0, fmt.Errorf("intinfer: no plan for budget %d (ladder %v)", budget, f.budgets)
-	}
-	return p.ClassifyContext(ctx, img)
-}
-
 // InferBatchContext classifies a batch at an exact ladder budget;
 // workers selects batch-level parallelism as in Plan.InferBatchContext.
 func (f *Family) InferBatchContext(ctx context.Context, images [][]float32, workers, budget int) ([]int, error) {

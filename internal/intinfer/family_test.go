@@ -168,10 +168,14 @@ func TestFamilyDispatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	if _, err := f.ClassifyContext(ctx, test.Images[0], 7); err == nil {
-		t.Error("off-ladder budget accepted by ClassifyContext")
+	if _, ok := f.Plan(7); ok {
+		t.Error("off-ladder budget 7 has a plan")
 	}
-	cls, err := f.ClassifyContext(ctx, test.Images[0], 12)
+	p, ok := f.Plan(12)
+	if !ok {
+		t.Fatal("ladder budget 12 has no plan")
+	}
+	cls, err := p.ClassifyContext(ctx, test.Images[0])
 	if err != nil {
 		t.Fatal(err)
 	}

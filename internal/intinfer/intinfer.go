@@ -16,7 +16,6 @@ package intinfer
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 
 	"repro/internal/core"
@@ -48,27 +47,13 @@ type Options struct {
 	// Calibration images (flat, model geometry) for the static
 	// activation scales; at least one is required.
 	Calibration [][]float32
-	// IntraWorkers bounds the goroutines a single Infer may fan a large
-	// layer's GEMM rows out to (0 = GOMAXPROCS). InferBatchParallel
-	// divides this budget by its batch workers so the two levels of
-	// parallelism compose.
-	IntraWorkers int
 	// Obs, when non-nil, registers this plan's runtime metrics (per-step
 	// latency histograms, kernel-dispatch counters, arena gauges; see
 	// DESIGN.md §9) with the given registry. Nil leaves observability
 	// off: the inference paths then pay only nil-checks (~1ns each, no
-	// clock reads, no pprof labels). Plans sharing a registry share
-	// series — step labels collide only if step names do.
+	// clock reads). Plans sharing a registry share series — step labels
+	// collide only if step names do.
 	Obs *obs.Registry
-	// ProfileLabels additionally tags inferences with runtime/pprof
-	// labels ("layer" around each step, "image" around batch positions)
-	// so CPU profiles attribute samples to plan structure. The label
-	// plumbing allocates a context and label map per tagged region —
-	// tens of heap objects per image — which violates the steady-state
-	// zero-alloc arena contract, so it is opt-in even when Obs is set;
-	// counters, gauges and latency histograms stay allocation-free
-	// either way.
-	ProfileLabels bool
 }
 
 // step kinds.
@@ -164,13 +149,12 @@ type Plan struct {
 
 	// Arena geometry, fixed by finalize at build time; sizes cover a
 	// whole chunk when the plan batches.
-	maxAct       int  // largest activation (elements) any step produces
-	maxPackB     int  // largest packed B panel buffer (bytes, packed path)
-	staged       bool // some conv gathers its B (scratch carries a GatherStage)
-	maxLin       int  // widest buffer a float64-path linear step touches
-	u8Buf        int  // offset-u8 matrix capacity of the batched lane
-	bufCount     int  // activation buffers one inference needs concurrently
-	intraWorkers int
+	maxAct   int  // largest activation (elements) any step produces
+	maxPackB int  // largest packed B panel buffer (bytes, packed path)
+	staged   bool // some conv gathers its B (scratch carries a GatherStage)
+	maxLin   int  // widest buffer a float64-path linear step touches
+	u8Buf    int  // offset-u8 matrix capacity of the batched lane
+	bufCount int  // activation buffers one inference needs concurrently
 	// arena pools *scratch. It is a pointer so a Family can point every
 	// budget rung at one shared pool: the rungs' arena geometries are
 	// unified to the family max at build, so any rung's inference can run
@@ -296,12 +280,7 @@ func (p *Plan) finalize(opts Options) {
 	p.sizeChain(p.steps, p.inC, p.inH, p.inW, b)
 	p.bufCount = chainBufs(p.steps, 0)
 	p.tuneSteps(p.steps)
-	p.intraWorkers = opts.IntraWorkers
-	if p.intraWorkers < 1 {
-		p.intraWorkers = runtime.GOMAXPROCS(0)
-	}
 	p.initMetrics(opts.Obs)
-	p.pm.labels = p.pm.enabled && opts.ProfileLabels
 	p.arena = &sync.Pool{New: func() any { return p.newScratch() }}
 }
 

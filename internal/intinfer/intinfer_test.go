@@ -1,6 +1,10 @@
 package intinfer
 
 import (
+	"context"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/datasets"
@@ -231,30 +235,80 @@ func TestLogitsScaleConsistency(t *testing.T) {
 	}
 }
 
-func TestInferBatchParallelMatchesSerial(t *testing.T) {
+// TestInferBatchSpansMatchClassify pins the batch driver on both kinds
+// of plan: the batched MLP, whose spans run chunks, and its forceDirect
+// twin, off the batched lane, whose spans run one image at a time. At
+// every batch size from 0 to 9 and at 60, and at every worker count,
+// each batch entry point predicts what Classify predicts, and a
+// wrong-size image at index k fails the batch with an error naming
+// image k.
+func TestInferBatchSpansMatchClassify(t *testing.T) {
 	m, train, test := trainedMLP(t)
-	plan, err := Build(m, Options{Calibration: train.Images[:32]})
-	if err != nil {
-		t.Fatal(err)
+	batched, direct := buildPair(t, m, Options{Calibration: train.Images[:32]})
+	if batched.chunk == 0 || direct.chunk != 0 {
+		t.Fatalf("chunk widths %d and %d, want a batched plan and a per-image one",
+			batched.chunk, direct.chunk)
 	}
-	serial, err := plan.InferBatch(test.Images[:60])
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 3, 8, 0} {
-		par, err := plan.InferBatchParallel(test.Images[:60], workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range serial {
-			if par[i] != serial[i] {
-				t.Fatalf("workers=%d: prediction %d differs", workers, i)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, pl := range []struct {
+		name string
+		p    *Plan
+	}{{"batched", batched}, {"direct", direct}} {
+		want := make([]int, 60)
+		for i := range want {
+			var err error
+			if want[i], err = pl.p.Classify(test.Images[i]); err != nil {
+				t.Fatal(err)
 			}
 		}
-	}
-	// Errors propagate from workers.
-	bad := [][]float32{make([]float32, 3)}
-	if _, err := plan.InferBatchParallel(bad, 2); err == nil {
-		t.Error("bad image accepted in parallel path")
+		// entries runs a batch through every entry point at a worker
+		// count; InferBatch has only the one worker.
+		entries := func(images [][]float32, workers int) map[string]func() ([]int, error) {
+			e := map[string]func() ([]int, error){
+				"background": func() ([]int, error) {
+					return pl.p.InferBatchContext(context.Background(), images, workers)
+				},
+				"cancellable": func() ([]int, error) { return pl.p.InferBatchContext(ctx, images, workers) },
+			}
+			if workers == 1 {
+				e["InferBatch"] = func() ([]int, error) { return pl.p.InferBatch(images) }
+			}
+			return e
+		}
+		for _, b := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 60} {
+			images := test.Images[:b]
+			for _, workers := range []int{1, 2, 3, 0} {
+				for entry, run := range entries(images, workers) {
+					got, err := run()
+					if err != nil {
+						t.Fatalf("%s b=%d workers=%d %s: %v", pl.name, b, workers, entry, err)
+					}
+					if len(got) != b {
+						t.Fatalf("%s b=%d workers=%d %s: %d predictions", pl.name, b, workers, entry, len(got))
+					}
+					for i := range got {
+						if got[i] != want[i] {
+							t.Fatalf("%s b=%d workers=%d %s image %d: %d, Classify %d",
+								pl.name, b, workers, entry, i, got[i], want[i])
+						}
+					}
+				}
+				for _, k := range slices.Compact([]int{0, b / 2, b - 1}) {
+					if k >= b {
+						break // an empty batch has no image to spoil
+					}
+					bad := slices.Clone(images)
+					bad[k] = make([]float32, 3)
+					name := fmt.Sprintf("image %d:", k)
+					for entry, run := range entries(bad, workers) {
+						if _, err := run(); err == nil || !strings.Contains(err.Error(), name) {
+							t.Fatalf("%s b=%d workers=%d %s: bad image %d returned %v",
+								pl.name, b, workers, entry, k, err)
+						}
+					}
+				}
+			}
+		}
 	}
 }

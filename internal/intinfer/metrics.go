@@ -1,8 +1,6 @@
 package intinfer
 
 import (
-	"context"
-	"runtime/pprof"
 	"time"
 
 	"repro/internal/obs"
@@ -20,17 +18,11 @@ const (
 // planMetrics is the set of pre-resolved instrument handles a Plan
 // updates during inference. The zero value is the disabled set: every
 // handle is nil (all obs instruments are nil-safe no-ops) and enabled
-// is false, which additionally gates the pieces that cost more than a
-// branch — time.Now calls and pprof label plumbing. Handles are
-// resolved once at Build, never on the inference path.
+// is false, which additionally gates the piece that costs more than a
+// branch — the time.Now calls. Handles are resolved once at Build,
+// never on the inference path.
 type planMetrics struct {
 	enabled bool
-
-	// labels additionally enables pprof label plumbing in execStep and
-	// the labelled classify wrapper. Label maps allocate per tagged
-	// region, which breaks the zero-steady-state-alloc contract, so this
-	// is opt-in (Options.ProfileLabels) even when a registry is wired.
-	labels bool
 
 	infers      *obs.Counter // inferences started
 	inferErrs   *obs.Counter // inferences that returned an error
@@ -68,7 +60,7 @@ func (p *Plan) initMetrics(r *obs.Registry) {
 	}
 	r.Help("trq_intinfer_infer_total", "single-image inferences started")
 	r.Help("trq_intinfer_infer_errors_total", "inferences that returned an error")
-	r.Help("trq_intinfer_batch_images_total", "images submitted through InferBatch/InferBatchParallel")
+	r.Help("trq_intinfer_batch_images_total", "images submitted through InferBatch/InferBatchContext")
 	r.Help("trq_intinfer_step_latency_seconds", "per-step execution latency")
 	r.Help("trq_intinfer_dispatch_total", "weight-layer kernel dispatch decisions")
 	r.Help("trq_intinfer_arena_scratch_total", "scratch arena events (get/put/new)")
@@ -102,22 +94,13 @@ func (p *Plan) initMetrics(r *obs.Registry) {
 
 // execStep runs top-level step i over an activation of b images, and —
 // when observability is on — times it into the step's latency histogram
-// (one observation per image, or per chunk on the batched lane) and
-// tags the execution with a runtime/pprof "layer" label so CPU profile
-// samples attribute to plan steps.
+// (one observation per image, or per chunk on the batched lane).
 func (p *Plan) execStep(i int, in activation, b int, s *scratch) (activation, error) {
 	if !p.pm.enabled {
 		return p.exec(&p.steps[i], in, b, s)
 	}
 	start := time.Now()
-	var out activation
-	var err error
-	if p.pm.labels {
-		pprof.Do(context.Background(), pprof.Labels("layer", p.steps[i].name),
-			func(context.Context) { out, err = p.exec(&p.steps[i], in, b, s) })
-	} else {
-		out, err = p.exec(&p.steps[i], in, b, s)
-	}
+	out, err := p.exec(&p.steps[i], in, b, s)
 	p.pm.stepLatency[i].Observe(time.Since(start).Seconds())
 	return out, err
 }

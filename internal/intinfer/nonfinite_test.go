@@ -48,9 +48,11 @@ func buildLanePairs(tb testing.TB) []lanePair {
 	}
 }
 
-// assertLanesAgree checks the non-finite input contract on one plan:
-// Infer's logits equal the direct reference's, and the batched,
-// parallel and context entry points predict what Classify predicts.
+// assertLanesAgree checks the non-finite input contract on one plan
+// pair: Infer's logits equal the direct reference's, and the batch and
+// context entry points of both plans — the direct one off the batched
+// lane, so its batches run image by image — predict what Classify
+// predicts.
 func assertLanesAgree(tb testing.TB, lp lanePair, images [][]float32) {
 	tb.Helper()
 	assertSameLogits(tb, lp.fast, lp.direct, images, lp.name)
@@ -62,24 +64,29 @@ func assertLanesAgree(tb testing.TB, lp lanePair, images [][]float32) {
 		}
 		want[i] = cls
 	}
-	batch, err := lp.fast.InferBatch(images)
-	if err != nil {
-		tb.Fatalf("%s: InferBatch: %v", lp.name, err)
-	}
-	par, err := lp.fast.InferBatchParallel(images, 2)
-	if err != nil {
-		tb.Fatalf("%s: InferBatchParallel: %v", lp.name, err)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	for i, img := range images {
-		cls, err := lp.fast.ClassifyContext(ctx, img)
+	for _, p := range []struct {
+		lane string
+		plan *Plan
+	}{{"fast", lp.fast}, {"direct", lp.direct}} {
+		batch, err := p.plan.InferBatch(images)
 		if err != nil {
-			tb.Fatalf("%s: ClassifyContext image %d: %v", lp.name, i, err)
+			tb.Fatalf("%s %s: InferBatch: %v", lp.name, p.lane, err)
 		}
-		if batch[i] != want[i] || par[i] != want[i] || cls != want[i] {
-			tb.Fatalf("%s: image %d: Classify %d, InferBatch %d, InferBatchParallel %d, ClassifyContext %d",
-				lp.name, i, want[i], batch[i], par[i], cls)
+		par, err := p.plan.InferBatchContext(context.Background(), images, 2)
+		if err != nil {
+			tb.Fatalf("%s %s: InferBatchContext: %v", lp.name, p.lane, err)
+		}
+		for i, img := range images {
+			cls, err := p.plan.ClassifyContext(ctx, img)
+			if err != nil {
+				tb.Fatalf("%s %s: ClassifyContext image %d: %v", lp.name, p.lane, i, err)
+			}
+			if batch[i] != want[i] || par[i] != want[i] || cls != want[i] {
+				tb.Fatalf("%s %s: image %d: Classify %d, InferBatch %d, InferBatchContext %d, ClassifyContext %d",
+					lp.name, p.lane, i, want[i], batch[i], par[i], cls)
+			}
 		}
 	}
 }

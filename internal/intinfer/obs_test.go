@@ -63,7 +63,7 @@ func TestErrorPathRecyclesScratch(t *testing.T) {
 	}
 	m, train, test := trainedMLP(t)
 	reg := obs.New()
-	plan, err := Build(m, Options{Calibration: train.Images[:16], IntraWorkers: 1, Obs: reg})
+	plan, err := Build(m, Options{Calibration: train.Images[:16], Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestErrorPathRecyclesScratch(t *testing.T) {
 
 	var stop atomic.Bool
 	stop.Store(true) // every classify fails mid-chain with errStopped
-	if _, err := plan.classify(test.Images[0], 1, &stop); !errors.Is(err, errStopped) {
+	if _, err := plan.classify(test.Images[0], &stop); !errors.Is(err, errStopped) {
 		t.Fatalf("armed stop flag returned %v, want errStopped", err)
 	}
 
@@ -90,7 +90,7 @@ func TestErrorPathRecyclesScratch(t *testing.T) {
 
 	const rounds = 100
 	if n := testing.AllocsPerRun(rounds, func() {
-		if _, err := plan.classify(test.Images[0], 1, &stop); !errors.Is(err, errStopped) {
+		if _, err := plan.classify(test.Images[0], &stop); !errors.Is(err, errStopped) {
 			t.Fatal(err)
 		}
 	}); n > 1 {
@@ -117,7 +117,7 @@ func TestErrorPathRecyclesScratch(t *testing.T) {
 	if err != nil {
 		t.Fatalf("classify after error storm failed: %v", err)
 	}
-	clean, err := Build(m, Options{Calibration: train.Images[:16], IntraWorkers: 1})
+	clean, err := Build(m, Options{Calibration: train.Images[:16]})
 	if err != nil {
 		t.Fatal(err)
 	}

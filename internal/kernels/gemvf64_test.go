@@ -90,8 +90,7 @@ func TestGemvF64PartialRows(t *testing.T) {
 	bias := randCodesF64(rng, m)
 	full := make([]float64, m)
 	refGemvF64(full, a, x, bias, m, k, 0.02, -127, 127)
-	// Disjoint [r0, r1) ranges, as the intra-image row partitioning
-	// issues them, must tile the full result.
+	// Disjoint [r0, r1) ranges must tile the full result.
 	got := make([]float64, m)
 	for _, span := range [][2]int{{0, 5}, {5, 6}, {6, 12}} {
 		GemvF64(got, a, x, bias, span[0], span[1], k, 0.02, -127, 127)

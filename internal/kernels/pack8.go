@@ -448,9 +448,8 @@ func offsetRowsGo(d []uint8, src []int32, c, h, n, side, top int) {
 // with the requantization fused: dst rows 4·p0 … min(4·p1, m) of the
 // m×n result receive requant(bias ⊕ A·B) directly as int8-range codes,
 // with no intermediate int32 matrix. pb is the PackB output for the
-// k×n patch matrix. Disjoint panel ranges write disjoint dst rows, so
-// the intra-image row partitioning fans panels across goroutines with
-// no synchronization.
+// k×n patch matrix. Disjoint panel ranges write disjoint dst rows, which
+// is what lets Gemm8Blocks run the panels block by block.
 func Gemm8Rows(dst []int32, pa *PackedA, pb []uint8, n, p0, p1 int, mult float64, lo, hi int32) {
 	if haveGemm8 {
 		gemm8ASM.Inc()

@@ -74,8 +74,7 @@ func TestGemm8RowsMatchesGemmRequant(t *testing.T) {
 }
 
 // TestGemm8RowsPanelPartition checks that disjoint panel ranges compose
-// to the full result — the property InferBatchParallel's intra-image
-// row partitioning relies on.
+// to the full result — the property Gemm8Blocks's row blocks rely on.
 func TestGemm8RowsPanelPartition(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	m, n, k := 11, 35, 18

@@ -21,8 +21,7 @@ const TuneVersion = 3
 //
 //	MR: output-row block in rows (multiple of 4, the panel height). The
 //	    blocked driver walks row panels in MR-row groups, keeping each
-//	    A block resident while the packed B panels stream past; it is
-//	    also the granularity the intra-image fan-out hands a worker.
+//	    A block resident while the packed B panels stream past.
 //	KC: k-stripe height (even, the tap-pair depth) of the PackBBlocked
 //	    traversal: source rows are revisited stripe by stripe while
 //	    their cache lines are hot.
