@@ -24,14 +24,16 @@
 #                builds against one warm cache must land identical tile
 #                picks, identical predictions, and zero microbenchmark
 #                time on the warm build
-#   make serve-smoke  end-to-end serving check: boot trserve on an
-#                ephemeral port, classify one image over HTTP, scrape
-#                /metrics for the trq_serve_* families, then issue one
-#                degraded-budget request (the lowest ladder rung) and
-#                assert the response echoes the served budget, hot-swap
+#   make serve-smoke  end-to-end serving check, run twice: on the
+#                default ladder (4,8,12) and on the one-rung ladder
+#                (-budgets 12, the single-budget server). Each boots
+#                trserve on an ephemeral port, classifies one image over
+#                HTTP, scrapes /metrics for the trq_serve_* families,
+#                issues one request at the lowest rung and asserts the
+#                response echoes it (12 on the one-rung server), hot-swaps
 #                the model through POST /v1/reload (version bump on the
-#                boot artifact, classify again on the swapped model),
-#                drain
+#                boot artifact, classify again on the swapped model) and
+#                drains
 #   make serve-bench  selfload run + results/BENCH_serve.json; with the
 #                default budget ladder this runs the strict/degrade A/B
 #                per worker-pool size in the scaling sweep and records
@@ -123,6 +125,7 @@ autotune-check:
 
 serve-smoke:
 	$(GO) run ./cmd/trserve -model mlp -smoke
+	$(GO) run ./cmd/trserve -model mlp -budgets 12 -smoke
 
 serve-bench:
 	$(GO) run ./cmd/trserve -model mlp -selfload -duration 3s

@@ -1,19 +1,22 @@
-// Command trserve serves a demo term-revealing inference plan over
-// HTTP with micro-batching, per-request deadlines, bounded-queue load
-// shedding, and graceful drain on SIGTERM/SIGINT.
+// Command trserve serves a demo term-revealing model over HTTP as a
+// ladder of TR group budgets (the paper's run-time accuracy dial), with
+// micro-batching, per-request deadlines, bounded-queue load shedding,
+// and graceful drain on SIGTERM/SIGINT. A single budget is a one-rung
+// ladder: -budgets 12.
 //
 // Usage:
 //
 //	trserve                       # serve the digits MLP on 127.0.0.1:8080
 //	trserve -model cnn -addr :9000
+//	trserve -budgets 12           # the single-budget server
 //	trserve -smoke                # one classify + /metrics scrape + drain
 //	trserve -selfload             # closed-loop load run; writes
 //	                              # results/BENCH_serve.json
 //
 // The serving endpoint:
 //
-//	POST /v1/classify  {"image":[...], "deadline_ms":50}
-//	                   -> {"class":3, "batch_size":8, "queue_us":812}
+//	POST /v1/classify  {"image":[...], "deadline_ms":50, "budget":8}
+//	                   -> {"class":3, "batch_size":8, "queue_us":812, "budget":8}
 //	POST /v1/reload    rebuild the model from the boot artifact and
 //	                   hot-swap it in between micro-batches (zero
 //	                   dropped requests); SIGHUP does the same
@@ -69,7 +72,7 @@ func main() {
 		queueCap    = flag.Int("queue-cap", serve.DefaultQueueCap, "admission queue bound; overflow sheds with 429")
 		batchWork   = flag.Int("batch-workers", 1, "batch-level inference parallelism inside one dispatch (<1 = GOMAXPROCS)")
 		workers     = flag.Int("workers", 1, "replicated batch workers consuming the admission queue (<1 = GOMAXPROCS)")
-		budgets     = flag.String("budgets", "4,8,12", "TR group-budget ladder served as a plan family; \"none\" serves the single demo budget")
+		budgets     = flag.String("budgets", "4,8,12", "TR group-budget ladder served as a plan family; one budget (e.g. 12) is the single-budget server")
 		watermark   = flag.Int("degrade-watermark", 0, "queue depth where admissions degrade one budget rung (0 = queue-cap/2)")
 		lowWater    = flag.Int("degrade-low-watermark", 0, "queue depth where the degradation latch disengages (0 = watermark/2)")
 		deadline    = flag.Duration("deadline", serve.DefaultDeadline, "default per-request serving deadline")
@@ -88,12 +91,12 @@ func main() {
 	)
 	flag.Parse()
 
-	ladder, err := parseBudgets(*budgets)
+	ladder, err := parseInts("-budgets", *budgets, "4,8,12")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "trserve:", err)
 		os.Exit(1)
 	}
-	sweepList, err := parseSweep(*sweep)
+	sweepList, err := parseInts("-sweep", *sweep, "1,2,4,8")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "trserve:", err)
 		os.Exit(1)
@@ -112,37 +115,20 @@ func main() {
 	}
 }
 
-// parseSweep reads the -sweep worker-pool list: positive integers,
-// ascending after sort, deduplicated.
-func parseSweep(s string) ([]int, error) {
+// parseInts reads a comma-separated list flag of positive integers —
+// the -budgets ladder or the -sweep worker-pool sizes — ascending after
+// sort, deduplicated.
+func parseInts(flagName, s, example string) ([]int, error) {
 	var out []int
 	for _, part := range strings.Split(s, ",") {
-		w, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || w < 1 {
-			return nil, fmt.Errorf("bad -sweep entry %q (want positive integers, e.g. 1,2,4,8)", part)
+		n, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil || n < 1 {
+			return nil, fmt.Errorf("bad %s entry %q (want positive integers, e.g. %s)", flagName, part, example)
 		}
-		out = append(out, w)
+		out = append(out, n)
 	}
 	slices.Sort(out)
 	return slices.Compact(out), nil
-}
-
-// parseBudgets reads the -budgets ladder; "none" (or empty) selects the
-// single-plan server.
-func parseBudgets(s string) ([]int, error) {
-	s = strings.TrimSpace(s)
-	if s == "" || s == "none" {
-		return nil, nil
-	}
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		b, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || b < 1 {
-			return nil, fmt.Errorf("bad -budgets entry %q (want positive integers, e.g. 4,8,12)", part)
-		}
-		out = append(out, b)
-	}
-	return out, nil
 }
 
 type config struct {
@@ -162,12 +148,12 @@ type config struct {
 	out, gitRev             string
 
 	// Derived by run()/bootModel, not flags. bootVersion labels the
-	// model the server starts with; reload rebuilds plan/family from the
+	// model the server starts with; reload rebuilds the family from the
 	// pinned artifact path (serve.Config.Reload); rewrite persists the
 	// boot model back to that path under a new version label — nil when
 	// the source is a gob snapshot, which carries no version.
 	bootVersion string
-	reload      func(ctx context.Context) (*intinfer.Plan, *intinfer.Family, string, error)
+	reload      func(ctx context.Context) (*intinfer.Family, string, error)
 	rewrite     func(version string) error
 }
 
@@ -184,56 +170,33 @@ func run(cfg config) error {
 	// The reload source is pinned here, at boot: /v1/reload and SIGHUP
 	// re-read this exact path, never a client-supplied location.
 	artifactPath := cfg.artifact
-	cfg.reload = func(ctx context.Context) (*intinfer.Plan, *intinfer.Family, string, error) {
+	cfg.reload = func(ctx context.Context) (*intinfer.Family, string, error) {
 		rm, info, err := artifact.LoadModelFile(artifactPath)
 		if err != nil {
-			return nil, nil, "", err
+			return nil, "", err
 		}
 		version := ""
 		if info != nil {
 			version = info.Version
 		}
-		if len(cfg.budgets) > 0 {
-			f, err := demoplan.FamilyFromModel(rm, reg, cfg.budgets)
-			return nil, f, version, err
-		}
-		p, err := demoplan.PlanFromModel(rm, reg)
-		return p, nil, version, err
+		f, err := demoplan.FamilyFromModel(rm, reg, cfg.budgets)
+		return f, version, err
 	}
 
-	var (
-		fam  *intinfer.Family
-		plan *intinfer.Plan
-	)
-	if len(cfg.budgets) > 0 {
-		fmt.Printf("trserve: compiling the %s plan family (budgets %v)...\n",
-			cfg.model, cfg.budgets)
-		fam, err = demoplan.FamilyFromModel(m, reg, cfg.budgets)
-	} else {
-		fmt.Printf("trserve: compiling the %s plan...\n", cfg.model)
-		plan, err = demoplan.PlanFromModel(m, reg)
-	}
+	fmt.Printf("trserve: compiling the %s plan family (budgets %v)...\n", cfg.model, cfg.budgets)
+	fam, err := demoplan.FamilyFromModel(m, reg, cfg.budgets)
 	if err != nil {
 		return err
 	}
 	if cfg.selfload {
-		// The selfload harness builds its own per-phase servers (one per
-		// sweep point; the family path additionally runs the strict/degrade
-		// A/B per point) so every phase's counters start from zero.
-		if fam != nil {
-			return runSelfloadFamily(fam, images, cfg)
-		}
-		return runSelfload(plan, images, cfg)
+		// The selfload harness builds its own servers, a strict and a
+		// degrade phase per sweep point, so every phase's counters start
+		// from zero.
+		return runSelfload(fam, images, cfg)
 	}
-	// serve.Config reads Workers 0 as "one worker"; the CLI documents
-	// "<1 = GOMAXPROCS", so translate before wiring.
-	workers := cfg.workers
-	if workers < 1 {
-		workers = -1
-	}
-	s, err := serve.New(serve.Config{Plan: plan, Family: fam,
+	s, err := serve.New(serve.Config{Family: fam,
 		MaxBatch: cfg.maxBatch, MaxDelay: cfg.maxDelay, QueueCap: cfg.queueCap,
-		BatchWorkers: cfg.batchWorkers, Workers: workers,
+		BatchWorkers: cfg.batchWorkers, Workers: cfg.workers,
 		DefaultDeadline: cfg.deadline, MaxDeadline: cfg.maxDeadline,
 		DegradeWatermark: cfg.watermark, DegradeLowWatermark: cfg.lowWatermark,
 		ModelVersion: cfg.bootVersion, Reload: cfg.reload,
@@ -250,7 +213,7 @@ func run(cfg config) error {
 		return err
 	}
 	fmt.Printf("trserve: serving %s on http://%s (workers=%d max_batch=%d max_delay=%v queue_cap=%d budgets=%v)\n",
-		cfg.model, s.Addr, workers, cfg.maxBatch, cfg.maxDelay, cfg.queueCap, cfg.budgets)
+		cfg.model, s.Addr, cfg.workers, cfg.maxBatch, cfg.maxDelay, cfg.queueCap, cfg.budgets)
 
 	// SIGHUP hot-swaps the model from the boot artifact, the classic
 	// "reread your config" contract; SIGTERM/SIGINT drain and exit.
@@ -289,7 +252,7 @@ func run(cfg config) error {
 // backed by an artifact on disk so /v1/reload always has a source:
 // -artifact loads the given file (trq or gob, sniffed), otherwise the
 // demo model is trained in-process and persisted to a temporary .trq
-// first. It must run before compilation — PlanFromModel folds batch
+// first. It must run before compilation — FamilyFromModel folds batch
 // norm in place, and the artifact needs the unfolded statistics.
 //
 // It also derives cfg.bootVersion and cfg.rewrite; cfg.rewrite stays

@@ -87,34 +87,32 @@ func runSmoke(s *serve.Server, images [][]float32, cfg config) error {
 	}
 	fmt.Println("trserve: /metrics exposes the serving families")
 
-	// On a budget-ladder server, issue one degraded-budget request (the
-	// bottom rung, what the degradation policy steps down to) and hold
+	// Issue one request at the bottom rung (what the degradation policy
+	// steps down to; the only rung of a single-budget server) and hold
 	// the server to its echo contract.
-	if ladder := s.Budgets(); ladder != nil {
-		low := ladder[0]
-		body, err := json.Marshal(map[string]any{"image": images[0], "deadline_ms": 2000, "budget": low})
-		if err != nil {
-			return err
-		}
-		code, data, err := httpPost(http.DefaultClient, base+"/v1/classify", body)
-		if err != nil {
-			return fmt.Errorf("budget classify: %w", err)
-		}
-		if code != http.StatusOK {
-			return fmt.Errorf("budget classify returned %d: %s", code, data)
-		}
-		var bresp struct {
-			Class  int `json:"class"`
-			Budget int `json:"budget"`
-		}
-		if err := json.Unmarshal(data, &bresp); err != nil {
-			return fmt.Errorf("budget classify response: %w", err)
-		}
-		if bresp.Budget != low {
-			return fmt.Errorf("budget classify echoed budget %d, want %d", bresp.Budget, low)
-		}
-		fmt.Printf("trserve: degraded-budget classify ok (budget=%d class=%d)\n", bresp.Budget, bresp.Class)
+	low := s.Budgets()[0]
+	lowBody, err := json.Marshal(map[string]any{"image": images[0], "deadline_ms": 2000, "budget": low})
+	if err != nil {
+		return err
 	}
+	code, data, err = httpPost(http.DefaultClient, base+"/v1/classify", lowBody)
+	if err != nil {
+		return fmt.Errorf("budget classify: %w", err)
+	}
+	if code != http.StatusOK {
+		return fmt.Errorf("budget classify returned %d: %s", code, data)
+	}
+	var bresp struct {
+		Class  int `json:"class"`
+		Budget int `json:"budget"`
+	}
+	if err := json.Unmarshal(data, &bresp); err != nil {
+		return fmt.Errorf("budget classify response: %w", err)
+	}
+	if bresp.Budget != low {
+		return fmt.Errorf("budget classify echoed budget %d, want %d", bresp.Budget, low)
+	}
+	fmt.Printf("trserve: bottom-rung classify ok (budget=%d class=%d)\n", bresp.Budget, bresp.Class)
 
 	// Hot-swap: bump the artifact's version label on disk, POST
 	// /v1/reload, and confirm the serving version followed and the
@@ -242,11 +240,9 @@ func drive(s *serve.Server, images [][]float32, cfg config) (report.ServeResults
 	if st.Batches > 0 {
 		res.AvgBatch = float64(st.BatchImages) / float64(st.Batches)
 	}
-	if st.BudgetServed != nil {
-		res.BudgetServed = make(map[string]int64, len(st.BudgetServed))
-		for b, n := range st.BudgetServed {
-			res.BudgetServed[strconv.Itoa(b)] = n
-		}
+	res.BudgetServed = make(map[string]int64, len(st.BudgetServed))
+	for b, n := range st.BudgetServed {
+		res.BudgetServed[strconv.Itoa(b)] = n
 	}
 	if p := firstErr.Load(); p != nil {
 		fmt.Println("trserve: first transport error:", *p)
@@ -456,21 +452,6 @@ func writeServeReport(rep report.ServeReport, cfg config) error {
 	return nil
 }
 
-// serveConfig renders the report's config stamp: the headline worker
-// count is the widest point of the sweep, which is also the phase the
-// headline Results carry.
-func serveConfig(cfg config, qcap, watermark int, budgets []int) report.ServeConfig {
-	sc := report.ServeConfig{Model: cfg.model, MaxBatch: cfg.maxBatch,
-		MaxDelayUs: cfg.maxDelay.Microseconds(), QueueCap: qcap,
-		BatchWorkers: cfg.batchWorkers, Clients: cfg.clients,
-		Workers: cfg.sweep[len(cfg.sweep)-1], WorkersSweep: cfg.sweep,
-		SLOP99Ms:   cfg.sloP99.Milliseconds(),
-		DurationMs: cfg.duration.Milliseconds(),
-		DeadlineMs: cfg.loadDeadline.Milliseconds(),
-		Budgets:    budgets, DegradeWatermark: watermark}
-	return sc
-}
-
 // applyScaling computes each point's throughput speedup against the
 // 1-worker point and enforces the multi-core scaling gate: on a box
 // with GOMAXPROCS >= 4 a sweep covering workers 1 and 4 must show at
@@ -501,75 +482,16 @@ func applyScaling(points []report.ScalingPoint) error {
 	return nil
 }
 
-// runSelfload sweeps the worker pool across cfg.sweep against the
-// single demo plan, one closed-loop load phase per pool size, and
-// writes results/BENCH_serve.json with the scaling curve. Phase SLO
-// violations and a failed scaling gate are reported after the results
-// file is written, so the numbers that failed are always on disk.
-func runSelfload(plan *intinfer.Plan, images [][]float32, cfg config) error {
-	points := make([]report.ScalingPoint, 0, len(cfg.sweep))
-	var phaseErr error
-	keep := func(err error) {
-		if err != nil && phaseErr == nil {
-			phaseErr = err
-		}
-	}
-	mk := func(w int) func(reg *obs.Registry) (*serve.Server, error) {
-		return func(reg *obs.Registry) (*serve.Server, error) {
-			return serve.New(serve.Config{Plan: plan, MaxBatch: cfg.maxBatch,
-				MaxDelay: cfg.maxDelay, QueueCap: cfg.queueCap,
-				BatchWorkers: cfg.batchWorkers, Workers: w,
-				DefaultDeadline: cfg.deadline, MaxDeadline: cfg.maxDeadline,
-				ModelVersion: cfg.bootVersion, Reload: cfg.reload,
-				Obs: reg})
-		}
-	}
-	for _, w := range cfg.sweep {
-		res, err := runPhase(fmt.Sprintf("w=%d", w), mk(w), images, cfg)
-		keep(err)
-		points = append(points, report.ScalingPoint{Workers: w, Results: res})
-	}
-	gateErr := applyScaling(points)
-
-	// Zero-downtime phase: the widest pool again, hot-swapping the
-	// artifact mid-load.
-	var hot *report.ServeResults
-	if cfg.rewrite != nil {
-		res, err := runHotswapPhase(mk(cfg.sweep[len(cfg.sweep)-1]), images, cfg)
-		keep(err)
-		hot = &res
-	}
-
-	rep := report.ServeReport{
-		Platform: report.NewPlatform(cfg.gitRev),
-		Config:   serveConfig(cfg, cfg.queueCap, 0, nil),
-		Results:  points[len(points)-1].Results,
-		Scaling:  points,
-		HotSwap:  hot,
-	}
-	printScaling(points)
-	if err := writeServeReport(rep, cfg); err != nil {
-		return err
-	}
-	if phaseErr != nil {
-		return phaseErr
-	}
-	if gateErr != nil {
-		return gateErr
-	}
-	if base := points[0]; base.Workers == 1 && base.Results.AvgBatch < 2 {
-		return fmt.Errorf("selfload averaged %.2f images/batch at 1 worker; the scheduler is not batching under load", base.Results.AvgBatch)
-	}
-	return nil
-}
-
-// runSelfloadFamily is the fleet-scale soak: for every pool size in
-// cfg.sweep it runs the degrade-before-shed A/B — a strict control that
-// sheds at the watermark, then the same offered load with the
-// degradation band in front of a doubled queue — asserting the phase
-// SLO throughout, and records the whole strict/degrade scaling curve.
-// The report's headline Results/StrictBaseline carry the widest pool.
-func runSelfloadFamily(fam *intinfer.Family, images [][]float32, cfg config) error {
+// runSelfload is the fleet-scale soak: for every pool size in cfg.sweep
+// it runs the degrade-before-shed A/B — a strict control that sheds at
+// the watermark, then the same offered load with the degradation band in
+// front of a doubled queue — asserting the phase SLO throughout, and
+// records the whole strict/degrade scaling curve. The report's headline
+// Results/StrictBaseline carry the widest pool (its worker count is the
+// config's headline), and it is written before any failed phase SLO or
+// scaling gate is reported, so the numbers that failed are always on
+// disk.
+func runSelfload(fam *intinfer.Family, images [][]float32, cfg config) error {
 	watermark := cfg.watermark
 	if watermark <= 0 {
 		watermark = cfg.queueCap
@@ -624,8 +546,14 @@ func runSelfloadFamily(fam *intinfer.Family, images [][]float32, cfg config) err
 
 	last := points[len(points)-1]
 	rep := report.ServeReport{
-		Platform:       report.NewPlatform(cfg.gitRev),
-		Config:         serveConfig(cfg, 2*watermark, watermark, fam.Budgets()),
+		Platform: report.NewPlatform(cfg.gitRev),
+		Config: report.ServeConfig{Model: cfg.model, MaxBatch: cfg.maxBatch,
+			MaxDelayUs: cfg.maxDelay.Microseconds(), QueueCap: 2 * watermark,
+			BatchWorkers: cfg.batchWorkers, Clients: cfg.clients,
+			Workers: cfg.sweep[len(cfg.sweep)-1], WorkersSweep: cfg.sweep,
+			SLOP99Ms: cfg.sloP99.Milliseconds(), DurationMs: cfg.duration.Milliseconds(),
+			DeadlineMs: cfg.loadDeadline.Milliseconds(),
+			Budgets:    fam.Budgets(), DegradeWatermark: watermark},
 		Results:        last.Results,
 		StrictBaseline: last.StrictBaseline,
 		Scaling:        points,

@@ -82,25 +82,25 @@ func TestCheckServeOverwrite(t *testing.T) {
 	}
 }
 
-// TestParseSweep covers the -sweep flag grammar: sorted, deduplicated,
-// positive integers only.
+// TestParseSweep covers the -sweep (and -budgets) flag grammar:
+// sorted, deduplicated, positive integers only.
 func TestParseSweep(t *testing.T) {
-	got, err := parseSweep("8, 1,4,2,4")
+	got, err := parseInts("-sweep", "8, 1,4,2,4", "1,2,4,8")
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []int{1, 2, 4, 8}
 	if len(got) != len(want) {
-		t.Fatalf("parseSweep = %v, want %v", got, want)
+		t.Fatalf("parseInts = %v, want %v", got, want)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("parseSweep = %v, want %v", got, want)
+			t.Fatalf("parseInts = %v, want %v", got, want)
 		}
 	}
 	for _, bad := range []string{"", "0", "-1", "1,x"} {
-		if _, err := parseSweep(bad); err == nil {
-			t.Errorf("parseSweep(%q) accepted", bad)
+		if _, err := parseInts("-sweep", bad, "1,2,4,8"); err == nil {
+			t.Errorf("parseInts(%q) accepted", bad)
 		}
 	}
 }

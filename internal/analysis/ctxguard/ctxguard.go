@@ -11,9 +11,11 @@
 // like stop.Load(), an if ctx.Err() != nil branch (conditions live on
 // CFG edges), a select on ctx.Done(), a call that forwards the carrier,
 // or a call to a same-package function that itself observes (computed
-// as a fixpoint). Loops containing no calls at all are exempt: pure
-// compute between observations is the normal shape of a kernel inner
-// loop, and the carrier is checked by whoever drives it.
+// as a fixpoint; inside a function literal or a go statement only a
+// carrier the spawned code reaches counts). Loops containing no calls
+// at all are exempt: pure compute between observations is the normal
+// shape of a kernel inner loop, and the carrier is checked by whoever
+// drives it.
 package ctxguard
 
 import (
@@ -191,14 +193,37 @@ func (o *observer) observes(n ast.Node) bool {
 		}
 		n = rh.X
 	}
+	return o.scan(n, false)
+}
+
+// scan is observes over one subtree. Inside a function literal or a go
+// statement (inLit) only an observation of a carrier the spawned code
+// reaches counts — a primitive on a captured carrier or a call
+// forwarding one — and a call to an observing same-package function
+// does not: go func() { runSpan(nil) }() and go runSpan(nil) call an
+// observer but hand it nothing that can stop it.
+func (o *observer) scan(n ast.Node, inLit bool) bool {
 	found := false
 	ast.Inspect(n, func(n ast.Node) bool {
 		if found {
 			return false
 		}
-		if call, ok := n.(*ast.CallExpr); ok && o.callObserves(call) {
-			found = true
-			return false
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			if !inLit {
+				found = o.scan(n.Body, true)
+				return false
+			}
+		case *ast.GoStmt:
+			if !inLit {
+				found = o.scan(n.Call, true)
+				return false
+			}
+		case *ast.CallExpr:
+			if o.callObserves(n, inLit) {
+				found = true
+				return false
+			}
 		}
 		return true
 	})
@@ -207,8 +232,9 @@ func (o *observer) observes(n ast.Node) bool {
 
 // callObserves reports whether one call is an observation: a primitive
 // (Load on an atomic.Bool, Err/Done on a context), a call forwarding a
-// carrier argument, or a call to an observing same-package function.
-func (o *observer) callObserves(call *ast.CallExpr) bool {
+// carrier argument, or — outside a function literal or go statement — a
+// call to an observing same-package function.
+func (o *observer) callObserves(call *ast.CallExpr, inLit bool) bool {
 	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
 		if recv := o.info.Types[sel.X]; recv.Type != nil {
 			switch sel.Sel.Name {
@@ -228,10 +254,11 @@ func (o *observer) callObserves(call *ast.CallExpr) bool {
 			return true
 		}
 	}
-	if obj := o.callee(call); obj != nil && o.observing[obj] {
-		return true
+	if inLit {
+		return false
 	}
-	return false
+	obj := o.callee(call)
+	return obj != nil && o.observing[obj]
 }
 
 // callee resolves the called object, if it is statically known.

@@ -43,3 +43,29 @@ func oneBranch(ctx context.Context, xs []int, rare bool) {
 		work()
 	}
 }
+
+// observe watches the flag it is handed; a same-package observer.
+func observe(stop *atomic.Bool) {
+	if stop != nil && stop.Load() {
+		return
+	}
+	work()
+}
+
+// Spawned literals that call an observing helper without a carrier have
+// handed nothing on: no goroutine the loop starts can be stopped.
+func spawnDropsCarrier(stop *atomic.Bool, xs []int) {
+	for range xs { // want "loop never observes cancellation of stop"
+		go func() {
+			observe(nil)
+		}()
+	}
+}
+
+// The same drop through a go statement: the goroutine runs an observer
+// that was handed no carrier.
+func goDropsCarrier(stop *atomic.Bool, xs []int) {
+	for range xs { // want "loop never observes cancellation of stop"
+		go observe(nil)
+	}
+}

@@ -90,3 +90,28 @@ func spawn(ctx context.Context, xs []int, out chan int) {
 		}()
 	}
 }
+
+// observe watches the flag it is handed; a same-package observer.
+func observe(stop *atomic.Bool) {
+	if stop != nil && stop.Load() {
+		return
+	}
+	work()
+}
+
+// A spawned literal that forwards the captured carrier into an observing
+// helper has handed it on.
+func spawnForwards(stop *atomic.Bool, xs []int) {
+	for range xs {
+		go func() {
+			observe(stop)
+		}()
+	}
+}
+
+// A go statement that forwards the carrier has handed it on.
+func goForwards(stop *atomic.Bool, xs []int) {
+	for range xs {
+		go observe(stop)
+	}
+}

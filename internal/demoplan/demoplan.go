@@ -190,14 +190,3 @@ func FamilyByName(name string, reg *obs.Registry, budgets []int) (*intinfer.Fami
 	}
 	return nil, nil, fmt.Errorf("demoplan: unknown model %q (want mlp or cnn)", name)
 }
-
-// ByName builds the named demo plan ("mlp" or "cnn").
-func ByName(name string, reg *obs.Registry) (*intinfer.Plan, [][]float32, error) {
-	switch name {
-	case "mlp":
-		return MLP(reg)
-	case "cnn":
-		return CNN(reg)
-	}
-	return nil, nil, fmt.Errorf("demoplan: unknown model %q (want mlp or cnn)", name)
-}

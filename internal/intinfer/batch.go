@@ -85,6 +85,7 @@ func chunkWidth(steps []step) int {
 // sets the shared stop flag; every other span stops at its next step. A
 // flag set from outside (the context wrapper's) with no recorded error
 // surfaces errStopped for translation. A nil flag is not cancellable.
+// The spans of one call share one allocated spanRun.
 func (p *Plan) inferBatch(images [][]float32, workers int, stop *atomic.Bool) ([]int, error) {
 	width := max(p.chunk, 1)
 	if workers < 1 {
@@ -99,43 +100,55 @@ func (p *Plan) inferBatch(images [][]float32, workers int, stop *atomic.Bool) ([
 		}
 		return preds, nil
 	}
+	run := new(spanRun)
 	if stop == nil {
-		stop = new(atomic.Bool) // spans still stop each other
+		stop = &run.stop // spans still stop each other
 	}
 	span := (len(images) + workers - 1) / workers
 	if span > width {
 		span = (span + width - 1) / width * width
 	}
-	var (
-		errOnce  sync.Once
-		firstErr error
-		wg       sync.WaitGroup
-	)
 	for start := 0; start < len(images); start += span {
 		end := min(start+span, len(images))
-		wg.Add(1)
-		// The span's slices and the flag go in as arguments: captured,
-		// they would move preds and stop to the heap on every call,
-		// including the one-worker calls that never reach this loop.
-		go func(images [][]float32, preds []int, base int, stop *atomic.Bool) {
-			defer wg.Done()
-			if stop.Load() {
-				return
-			}
-			if err := p.runSpan(images, preds, base, stop); err != nil && !errors.Is(err, errStopped) {
-				errOnce.Do(func() { firstErr = err })
-				stop.Store(true)
-			}
-		}(images[start:end], preds[start:end], start, stop)
+		run.wg.Add(1)
+		go p.spanWorker(run, images[start:end], preds[start:end], start, stop)
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	run.wg.Wait()
+	if run.err != nil { // every span has returned: Wait orders the read
+		return nil, run.err
 	}
 	if stop.Load() {
 		return nil, errStopped // external cancellation, no internal error
 	}
 	return preds, nil
+}
+
+// spanRun is what the spans of one multi-span call share: the join, the
+// first error a span recorded, and the stop flag of a call that brought
+// none.
+type spanRun struct {
+	wg   sync.WaitGroup
+	mu   sync.Mutex
+	err  error
+	stop atomic.Bool
+}
+
+// spanWorker runs one span on its own goroutine. Its slices and the
+// flag come in as arguments, not captures, so preds and stop stay off
+// the heap on the one-worker calls that never spawn.
+func (p *Plan) spanWorker(run *spanRun, images [][]float32, preds []int, base int, stop *atomic.Bool) {
+	defer run.wg.Done()
+	if stop.Load() {
+		return
+	}
+	if err := p.runSpan(images, preds, base, stop); err != nil && !errors.Is(err, errStopped) {
+		run.mu.Lock()
+		if run.err == nil {
+			run.err = err
+		}
+		run.mu.Unlock()
+		stop.Store(true)
+	}
 }
 
 // runSpan classifies one span out of one scratch, repairing and

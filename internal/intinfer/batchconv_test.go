@@ -295,7 +295,11 @@ func TestBatchedConvDispatchCounters(t *testing.T) {
 // not; and the served call — a cancellable context, workers 0, batches
 // of 1, 4 and 8 — stays within six objects (the context watch, the
 // flag and the predictions). A goroutine closure that captured preds or
-// the flag would move them to the heap and show here.
+// the flag would move them to the heap and show here. AllocsPerRun
+// pins GOMAXPROCS to 1, so workers 0 runs one span; workers 2 at b = 4
+// and 8 takes the multi-span branch a 2-core server runs, held to 8
+// objects cancellable and 4 under context.Background() (one shared
+// span state, one goroutine per span, the predictions).
 func TestBatchedConvSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool fakes misses under the race detector")
@@ -323,6 +327,22 @@ func TestBatchedConvSteadyStateAllocs(t *testing.T) {
 			}); n > 6 {
 				t.Errorf("observed=%v b=%d: served InferBatchContext allocates %.2f objects per call, want ≤ 6",
 					reg != nil, b, n)
+			}
+		}
+		for _, b := range []int{4, 8} {
+			for _, tc := range []struct {
+				name string
+				ctx  context.Context
+				max  float64
+			}{{"cancellable", ctx, 8}, {"background", context.Background(), 4}} {
+				if n := testing.AllocsPerRun(50, func() {
+					if _, err := p.InferBatchContext(tc.ctx, images[:b], 2); err != nil {
+						t.Fatal(err)
+					}
+				}); n > tc.max {
+					t.Errorf("observed=%v b=%d %s: two-span InferBatchContext allocates %.2f objects per call, want ≤ %g",
+						reg != nil, b, tc.name, n, tc.max)
+				}
 			}
 		}
 	}

@@ -90,9 +90,9 @@ type ServeConfig struct {
 	Clients      int   `json:"clients"`
 	DurationMs   int64 `json:"duration_ms"`
 	DeadlineMs   int64 `json:"deadline_ms"`
-	// Budgets is the TR group-budget ladder a family server ran
-	// (empty: single-plan server); DegradeWatermark is the queue depth
-	// where admissions start stepping down a rung.
+	// Budgets is the TR group-budget ladder the server ran;
+	// DegradeWatermark is the queue depth where admissions start
+	// stepping down a rung.
 	Budgets          []int `json:"budgets,omitempty"`
 	DegradeWatermark int   `json:"degrade_watermark,omitempty"`
 }

@@ -17,7 +17,8 @@ import (
 	"repro/internal/obs"
 )
 
-// The demo family is trained once and shared, like the single plan.
+// The demo family (the default 4, 8, 12 ladder) is trained once and
+// shared, like the one-rung family.
 var (
 	famOnce   sync.Once
 	testFamV  *intinfer.Family
@@ -41,11 +42,13 @@ func testFamily(t testing.TB) (*intinfer.Family, [][]float32) {
 	return testFamV, famImages
 }
 
+// newFamilyServer serves the three-rung family with one worker, so
+// tests that count batches see one scheduler cut them.
 func newFamilyServer(t testing.TB, mutate func(*Config)) *Server {
 	t.Helper()
 	fam, _ := testFamily(t)
 	cfg := Config{Family: fam, MaxBatch: 8, MaxDelay: time.Millisecond,
-		QueueCap: 128, BatchWorkers: 1, DefaultDeadline: 5 * time.Second,
+		QueueCap: 128, BatchWorkers: 1, Workers: 1, DefaultDeadline: 5 * time.Second,
 		// High watermark by default so tests that don't exercise the
 		// degradation policy never trip it.
 		DegradeWatermark: 127}
@@ -303,38 +306,60 @@ func TestBudgetHintHTTP(t *testing.T) {
 	}
 }
 
-// TestBudgetHintWithoutLadder pins the single-plan behaviour: a budget
-// hint against a server with no family is a 400, in-process it is
-// ErrNoBudgets, and hint-less requests carry no budget echo.
-func TestBudgetHintWithoutLadder(t *testing.T) {
-	_, images := testPlan(t)
+// TestOneRungClampsHints pins the single-budget server, a one-rung
+// ladder: every budget or quality hint lands on the rung, answers 200,
+// and echoes the rung, in process and over HTTP, as a hint-less
+// request does; invalid hints are still 400s.
+func TestOneRungClampsHints(t *testing.T) {
+	plan, images := testPlan(t)
 	s := newTestServer(t, nil)
 	s.startScheduler()
-
-	if _, err := s.ClassifyBudget(context.Background(), images[0], 8); !errors.Is(err, ErrNoBudgets) {
-		t.Errorf("in-process hint returned %v, want ErrNoBudgets", err)
-	}
-	raw, err := json.Marshal(classifyRequest{Image: images[0], Budget: 8})
+	want, err := plan.Classify(images[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/classify", bytes.NewReader(raw)))
-	if rec.Code != http.StatusBadRequest {
-		t.Errorf("HTTP hint got %d, want 400", rec.Code)
+
+	for _, hint := range []int{0, 4, rung, 99, -3} {
+		res, err := s.ClassifyBudget(context.Background(), images[0], hint)
+		if err != nil {
+			t.Fatalf("in-process hint %d: %v", hint, err)
+		}
+		if res.Budget != rung || res.Degraded || res.Class != want {
+			t.Errorf("in-process hint %d: budget %d degraded %v class %d, want budget %d class %d",
+				hint, res.Budget, res.Degraded, res.Class, rung, want)
+		}
 	}
 
-	raw, err = json.Marshal(classifyRequest{Image: images[0]})
-	if err != nil {
-		t.Fatal(err)
+	q := func(v float64) *float64 { return &v }
+	for name, body := range map[string]classifyRequest{
+		"no hint":     {Image: images[0]},
+		"budget 4":    {Image: images[0], Budget: 4},
+		"budget 99":   {Image: images[0], Budget: 99},
+		"quality 0":   {Image: images[0], Quality: q(0)},
+		"quality 0.5": {Image: images[0], Quality: q(0.5)},
+		"quality 1":   {Image: images[0], Quality: q(1)},
+	} {
+		rec := serveBody(s.Handler(), marshal(t, body))
+		var out classifyResponse
+		if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &out) != nil {
+			t.Fatalf("%s: got %d (%s), want 200", name, rec.Code, rec.Body.String())
+		}
+		if out.Budget != rung || out.Class != want {
+			t.Errorf("%s: echoed budget %d class %d, want %d and %d (%s)",
+				name, out.Budget, out.Class, rung, want, rec.Body.String())
+		}
 	}
-	rec = httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/classify", bytes.NewReader(raw)))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("plain classify got %d: %s", rec.Code, rec.Body.String())
+	for name, body := range map[string]classifyRequest{
+		"negative budget": {Image: images[0], Budget: -3},
+		"quality over 1":  {Image: images[0], Quality: q(1.5)},
+		"both hints":      {Image: images[0], Budget: 8, Quality: q(0.5)},
+	} {
+		if rec := serveBody(s.Handler(), marshal(t, body)); rec.Code != http.StatusBadRequest {
+			t.Errorf("%s got %d (%s), want 400", name, rec.Code, rec.Body.String())
+		}
 	}
-	if strings.Contains(rec.Body.String(), `"budget"`) {
-		t.Errorf("single-plan response leaks a budget field: %s", rec.Body.String())
+	if st := s.Stats(); st.BudgetServed[rung] != st.OK || st.OK == 0 {
+		t.Errorf("BudgetServed = %v with OK = %d, want every answer at rung %d", st.BudgetServed, st.OK, rung)
 	}
 }
 
@@ -387,7 +412,7 @@ func TestQueueWaitHistogramCoversDeadlines(t *testing.T) {
 	_, images := testPlan(t)
 	s := newTestServer(t, func(c *Config) { c.MaxDeadline = time.Second })
 
-	r, err := s.submit(images[0], time.Now().Add(800*time.Millisecond), 0)
+	r, err := s.submit(images[0], time.Now().Add(800*time.Millisecond), rung)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,20 +449,20 @@ func TestQueueDepthGaugeBalance(t *testing.T) {
 	short := time.Now().Add(20 * time.Millisecond)
 	var reqs []*request
 	for i := 0; i < 6; i++ { // will be served or drain-flushed
-		r, err := s.submit(images[i%len(images)], long, 0)
+		r, err := s.submit(images[i%len(images)], long, rung)
 		if err != nil {
 			t.Fatal(err)
 		}
 		reqs = append(reqs, r)
 	}
 	for i := 0; i < 2; i++ { // will expire in queue
-		r, err := s.submit(images[i], short, 0)
+		r, err := s.submit(images[i], short, rung)
 		if err != nil {
 			t.Fatal(err)
 		}
 		reqs = append(reqs, r)
 	}
-	if _, err := s.submit(images[0], long, 0); !errors.Is(err, ErrQueueFull) { // shed
+	if _, err := s.submit(images[0], long, rung); !errors.Is(err, ErrQueueFull) { // shed
 		t.Fatalf("overflow admission returned %v, want ErrQueueFull", err)
 	}
 	time.Sleep(40 * time.Millisecond) // let the short deadlines lapse queued

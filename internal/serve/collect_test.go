@@ -29,7 +29,7 @@ func TestBatchCloseReasons(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	var reqs []*request
 	for i := 0; i < 16; i++ {
-		r, err := s.submit(images[i%len(images)], deadline, 0)
+		r, err := s.submit(images[i%len(images)], deadline, rung)
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
@@ -46,7 +46,7 @@ func TestBatchCloseReasons(t *testing.T) {
 		t.Fatalf("after 16 pre-queued requests: closes %v, want full=2 and nothing else", got)
 	}
 
-	lone, err := s.submit(images[0], deadline, 0)
+	lone, err := s.submit(images[0], deadline, rung)
 	if err != nil {
 		t.Fatal(err)
 	}

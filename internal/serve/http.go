@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
@@ -27,6 +26,10 @@ const maxPooledBody = 64 << 10
 // bodyBufs recycles the buffers classify bodies are read into.
 var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
+// retryAfter is the Retry-After hint, in seconds, on 429, 503 and 409
+// responses.
+const retryAfter = "1"
+
 // classifyRequest is the POST /v1/classify body.
 type classifyRequest struct {
 	Image []float32 `json:"image"`
@@ -35,8 +38,8 @@ type classifyRequest struct {
 	// and rejected 400.
 	DeadlineMs int64 `json:"deadline_ms"`
 	// Budget is a TR group-budget hint, snapped onto the server's
-	// ladder; 0 means the server default. Rejected 400 on a server with
-	// no ladder, or when combined with Quality.
+	// ladder; 0 means the top rung. Rejected 400 when combined with
+	// Quality.
 	Budget int `json:"budget,omitempty"`
 	// Quality is the dial in relative form: 0.0 = lowest rung, 1.0 =
 	// highest, mapped onto the ladder without the client knowing the
@@ -46,8 +49,7 @@ type classifyRequest struct {
 
 // classifyResponse is the success body. Budget echoes the rung the
 // request actually ran at — under the degradation policy it can be
-// lower than the hint, flagged by Degraded — and is omitted on
-// single-plan servers.
+// lower than the hint, flagged by Degraded.
 type classifyResponse struct {
 	Class     int   `json:"class"`
 	BatchSize int   `json:"batch_size"`
@@ -111,7 +113,7 @@ func (s *Server) handleReload(w http.ResponseWriter, req *http.Request) {
 	case errors.Is(err, ErrNoReload):
 		writeJSON(w, http.StatusNotImplemented, errorResponse{Error: err.Error()})
 	case errors.Is(err, ErrReloadBusy):
-		w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
+		w.Header().Set("Retry-After", retryAfter)
 		writeJSON(w, http.StatusConflict, errorResponse{Error: err.Error()})
 	default:
 		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
@@ -172,13 +174,11 @@ func (s *Server) handleClassify(w http.ResponseWriter, req *http.Request) {
 			BatchSize: res.BatchSize, QueueUs: res.QueueWait.Microseconds(),
 			Budget: res.Budget, Degraded: res.Degraded})
 	case errors.Is(err, ErrQueueFull):
-		w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
+		w.Header().Set("Retry-After", retryAfter)
 		writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: err.Error()})
 	case errors.Is(err, ErrDraining):
-		w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
+		w.Header().Set("Retry-After", retryAfter)
 		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
-	case errors.Is(err, ErrNoBudgets):
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 	case errors.Is(err, context.DeadlineExceeded):
 		writeJSON(w, http.StatusGatewayTimeout, errorResponse{Error: "deadline exceeded"})
 	case errors.Is(err, context.Canceled):
@@ -224,18 +224,13 @@ func putBody(buf *bytes.Buffer) {
 }
 
 // requestBudget validates and resolves the body's quality hints into a
-// budget for ClassifyBudget: 0 when no hint was given (server default),
+// budget for ClassifyBudget: 0 when no hint was given (the top rung),
 // the exact Budget, or Quality mapped across the ladder (0.0 = lowest
-// rung, 1.0 = highest, nearest rung in between). Hints on a server with
-// no ladder, both hints at once, or a hint outside its domain are
-// client errors.
+// rung, 1.0 = highest, nearest rung in between). Both hints at once, or
+// a hint outside its domain, are client errors.
 func (s *Server) requestBudget(in classifyRequest) (int, error) {
 	if in.Budget == 0 && in.Quality == nil {
 		return 0, nil
-	}
-	budgets := s.Budgets()
-	if budgets == nil {
-		return 0, ErrNoBudgets
 	}
 	if in.Budget != 0 && in.Quality != nil {
 		return 0, errors.New("budget and quality are mutually exclusive")
@@ -245,22 +240,13 @@ func (s *Server) requestBudget(in classifyRequest) (int, error) {
 		if q < 0 || q > 1 {
 			return 0, fmt.Errorf("quality must be in [0, 1], got %g", q)
 		}
+		budgets := s.Budgets()
 		return budgets[int(q*float64(len(budgets)-1)+0.5)], nil
 	}
 	if in.Budget < 0 {
 		return 0, fmt.Errorf("budget must not be negative, got %d", in.Budget)
 	}
 	return in.Budget, nil
-}
-
-// retryAfterSeconds renders a Retry-After header value, at least 1s —
-// sub-second hints round to zero, which clients read as "immediately".
-func retryAfterSeconds(d time.Duration) string {
-	secs := int64(d / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.FormatInt(secs, 10)
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -1,5 +1,5 @@
 // Package serve is the micro-batching inference server over a compiled
-// intinfer.Plan. Requests are admitted into a bounded queue (full queue
+// intinfer.Family. Requests are admitted into a bounded queue (full queue
 // = load shed, never unbounded memory), a pool of Workers replicated
 // batch workers consumes it — each worker collects micro-batches of up
 // to MaxBatch images, or whatever has arrived when MaxDelay lapses —
@@ -17,10 +17,10 @@
 // flushes the queue through the workers, joins them all, and then shuts
 // the HTTP listener down gracefully.
 //
-// With a Config.Family instead of a single Plan the server becomes the
-// paper's run-time accuracy dial: each request carries an effective TR
-// group budget (client hint, clamped to the ladder; the family max by
-// default), batches group same-budget requests so every dispatch still
+// The family is the paper's run-time accuracy dial, and a single-budget
+// server is a one-rung family: each request carries an effective TR
+// group budget (client hint, clamped to the ladder; the top rung without
+// one), batches group same-budget requests so every dispatch still
 // runs one homogeneous plan, and a degrade-before-shed policy steps new
 // admissions down to the next-lower rung once queue depth crosses
 // DegradeWatermark — trading accuracy for admission instead of
@@ -48,6 +48,7 @@ import (
 	"net"
 	"net/http"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -64,15 +65,13 @@ const (
 	DefaultQueueCap    = 64
 	DefaultDeadline    = 50 * time.Millisecond
 	DefaultMaxDeadline = 5 * time.Second
-	DefaultRetryAfter  = 1 * time.Second
 )
 
 // Sentinel errors the admission path returns; the HTTP layer maps them
-// to 429 (shed), 503 (draining) and 400 (budget hint without a ladder).
+// to 429 (shed) and 503 (draining).
 var (
 	ErrQueueFull = errors.New("serve: admission queue full")
 	ErrDraining  = errors.New("serve: server is draining")
-	ErrNoBudgets = errors.New("serve: server has no budget ladder")
 )
 
 // Sentinel errors of the hot-swap path; the HTTP layer maps them to 501
@@ -82,19 +81,13 @@ var (
 	ErrReloadBusy = errors.New("serve: a reload is already in progress")
 )
 
-// Config wires a Server. Exactly one of Plan or Family is required;
-// everything else defaults.
+// Config wires a Server. Family is required; everything else defaults.
 type Config struct {
-	// Plan is the compiled model every request classifies through.
-	// Ignored when Family is set.
-	Plan *intinfer.Plan
-	// Family, when non-nil, serves a multi-budget plan ladder instead of
-	// a single plan: requests carry an effective budget, batches stay
-	// budget-homogeneous, and the degradation policy below applies.
+	// Family is the compiled budget ladder requests classify through:
+	// each request runs at one rung (the top rung without a hint),
+	// batches stay budget-homogeneous, and the degradation policy below
+	// applies. A one-rung family is the single-budget server.
 	Family *intinfer.Family
-	// DefaultBudget is the rung requests without a hint run at, snapped
-	// onto the ladder (0 = the family max, i.e. full quality).
-	DefaultBudget int
 	// DegradeWatermark is the queue depth at or above which new
 	// admissions step down one rung instead of keeping their budget
 	// (0 = QueueCap/2; above QueueCap the policy never engages). The
@@ -119,30 +112,25 @@ type Config struct {
 	BatchWorkers int
 	// Workers is the number of replicated batch workers consuming the
 	// admission queue; each collects and executes micro-batches
-	// independently, so serving throughput scales with cores. 0 keeps
-	// the single-worker scheduler (the deterministic PR 5 behaviour);
-	// negative means GOMAXPROCS.
+	// independently, so serving throughput scales with cores (<1 =
+	// GOMAXPROCS).
 	Workers int
 
 	// DefaultDeadline applies to requests that carry none; MaxDeadline
 	// clamps what a client may ask for.
 	DefaultDeadline time.Duration
 	MaxDeadline     time.Duration
-	// RetryAfter is the hint stamped on 429/503 responses.
-	RetryAfter time.Duration
 
 	// ModelVersion labels the boot model (what /healthz reports until the
 	// first hot-swap).
 	ModelVersion string
 	// Reload, when set, is the hot-swap source: POST /v1/reload (and the
 	// CLI's SIGHUP path) calls it off the serving path to build a
-	// replacement plan or family — typically by re-reading a model
-	// artifact from disk — then swaps it in between micro-batches. It
-	// must return the same shape the server booted with: a Family for a
-	// family server (with an identical budget ladder) or a single Plan,
-	// matching input dims. Never load client-supplied paths here; the
-	// source location is fixed at boot.
-	Reload func(ctx context.Context) (*intinfer.Plan, *intinfer.Family, string, error)
+	// replacement family — typically by re-reading a model artifact from
+	// disk — then swaps it in between micro-batches. The family must
+	// have the boot ladder and input dims. Never load client-supplied
+	// paths here; the source location is fixed at boot.
+	Reload func(ctx context.Context) (*intinfer.Family, string, error)
 
 	// Obs receives the trq_serve_* metrics; nil gets a private registry.
 	Obs *obs.Registry
@@ -153,7 +141,7 @@ type Result struct {
 	Class     int
 	BatchSize int           // images in the dispatch that carried this request
 	QueueWait time.Duration // admission-to-dispatch time
-	Budget    int           // TR group budget the request was served at (0: single-plan server)
+	Budget    int           // TR group budget the request was served at
 	Degraded  bool          // admission stepped the budget down under load
 }
 
@@ -173,7 +161,7 @@ type request struct {
 	img      []float32
 	deadline time.Time
 	enqueued time.Time
-	budget   int           // effective rung (0 on a single-plan server)
+	budget   int           // effective rung
 	degraded bool          // admission stepped the budget down
 	wait     time.Duration // stamped at dispatch
 	done     chan response
@@ -184,7 +172,7 @@ type metrics struct {
 	batches, batchImages                *obs.Counter
 	batchClose                          [numCloseReasons]*obs.Counter
 	degraded                            *obs.Counter
-	served                              map[int]*obs.Counter // per-rung, family servers only
+	served                              map[int]*obs.Counter // per rung
 	queueDepth                          *obs.Gauge
 	degradeActive                       *obs.Gauge
 	batchSize, queueWait, latency       *obs.Histogram
@@ -203,10 +191,6 @@ type metrics struct {
 	modelEpoch          *obs.Gauge
 	swapDrain           *obs.Histogram
 }
-
-// servedFor returns the per-rung served counter; nil (a no-op sink) on
-// single-plan servers.
-func (m *metrics) servedFor(budget int) *obs.Counter { return m.served[budget] }
 
 func newMetrics(r *obs.Registry, cfg Config) metrics {
 	r.Help("trq_serve_requests_total", "classification requests by terminal status (ok, shed, timeout, error, draining)")
@@ -254,43 +238,29 @@ func newMetrics(r *obs.Registry, cfg Config) metrics {
 		m.workerBusy[w] = r.Gauge("trq_serve_worker_busy", "worker", id)
 		m.workerBatches[w] = r.Counter("trq_serve_worker_batches_total", "worker", id)
 	}
-	if cfg.Family != nil {
-		r.Help("trq_serve_budget_degraded_total", "admissions stepped down one budget rung by the degradation policy")
-		r.Help("trq_serve_budget_degrade_active", "1 while the degradation policy is engaged (queue depth crossed the watermark)")
-		r.Help("trq_serve_budget_served_total", "requests answered ok by the TR group budget they ran at")
-		m.degraded = r.Counter("trq_serve_budget_degraded_total")
-		m.degradeActive = r.Gauge("trq_serve_budget_degrade_active")
-		m.served = make(map[int]*obs.Counter)
-		for _, b := range cfg.Family.Budgets() {
-			m.served[b] = r.Counter("trq_serve_budget_served_total", "budget", strconv.Itoa(b))
-		}
+	r.Help("trq_serve_budget_degraded_total", "admissions stepped down one budget rung by the degradation policy")
+	r.Help("trq_serve_budget_degrade_active", "1 while the degradation policy is engaged (queue depth crossed the watermark)")
+	r.Help("trq_serve_budget_served_total", "requests answered ok by the TR group budget they ran at")
+	m.degraded = r.Counter("trq_serve_budget_degraded_total")
+	m.degradeActive = r.Gauge("trq_serve_budget_degrade_active")
+	m.served = make(map[int]*obs.Counter)
+	for _, b := range cfg.Family.Budgets() {
+		m.served[b] = r.Counter("trq_serve_budget_served_total", "budget", strconv.Itoa(b))
 	}
 	return m
 }
 
 // activeModel is one live generation of the served model: the compiled
-// plan (or family), its version label, and a count of batches currently
+// family, its version label, and a count of batches currently
 // executing inside it. Dispatch pins the generation for the whole
 // batch, so a swap mid-collect can never mix two models in one
 // dispatch, and the swapper drains a retired generation by waiting for
 // its count to reach zero — no WaitGroup, because batches keep starting
 // on the new generation while the old one winds down.
 type activeModel struct {
-	plan     *intinfer.Plan
 	fam      *intinfer.Family
 	version  string
 	inflight atomic.Int64
-}
-
-// planFor returns the plan a batch at the given budget runs through.
-// Budgets are snapped onto the ladder at admission, and Swap enforces a
-// ladder-identical family, so the rung always exists.
-func (a *activeModel) planFor(budget int) *intinfer.Plan {
-	if a.fam == nil {
-		return a.plan
-	}
-	p, _ := a.fam.Plan(budget)
-	return p
 }
 
 // Server is a micro-batching classification server. Construct with New,
@@ -301,9 +271,8 @@ type Server struct {
 	// a ":0" request).
 	Addr string
 
-	cfg           Config
-	inLen         int // c*h*w the plan expects
-	defaultBudget int // resolved rung for hint-less requests (0: single-plan)
+	cfg   Config
+	inLen int // c*h*w the family expects
 
 	// degrading is the degradation policy's hysteresis latch: set when
 	// total outstanding depth reaches DegradeWatermark, cleared when it
@@ -351,8 +320,8 @@ type Server struct {
 // New validates the config, fills defaults, and returns a Server with
 // nothing running yet: no listener, no scheduler goroutine.
 func New(cfg Config) (*Server, error) {
-	if cfg.Plan == nil && cfg.Family == nil {
-		return nil, errors.New("serve: Config.Plan or Config.Family is required")
+	if cfg.Family == nil {
+		return nil, errors.New("serve: Config.Family is required")
 	}
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = DefaultMaxBatch
@@ -363,9 +332,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = DefaultQueueCap
 	}
-	if cfg.Workers == 0 {
-		cfg.Workers = 1
-	} else if cfg.Workers < 0 {
+	if cfg.Workers < 1 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	if cfg.DefaultDeadline <= 0 {
@@ -374,54 +341,30 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxDeadline <= 0 {
 		cfg.MaxDeadline = DefaultMaxDeadline
 	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = DefaultRetryAfter
-	}
 	if cfg.Obs == nil {
 		cfg.Obs = obs.New()
 	}
-	defaultBudget := 0
-	var c, h, w int
-	if cfg.Family != nil {
-		if cfg.DegradeWatermark <= 0 {
-			cfg.DegradeWatermark = cfg.QueueCap / 2
-			if cfg.DegradeWatermark < 1 {
-				cfg.DegradeWatermark = 1
-			}
-		}
-		if cfg.DegradeLowWatermark <= 0 {
-			cfg.DegradeLowWatermark = cfg.DegradeWatermark / 2
-		}
-		if cfg.DefaultBudget == 0 {
-			defaultBudget = cfg.Family.MaxBudget()
-		} else {
-			defaultBudget = cfg.Family.Clamp(cfg.DefaultBudget)
-		}
-		c, h, w = cfg.Family.InputDims()
-	} else {
-		c, h, w = cfg.Plan.InputDims()
+	if cfg.DegradeWatermark <= 0 {
+		cfg.DegradeWatermark = max(cfg.QueueCap/2, 1)
 	}
+	if cfg.DegradeLowWatermark <= 0 {
+		cfg.DegradeLowWatermark = cfg.DegradeWatermark / 2
+	}
+	c, h, w := cfg.Family.InputDims()
 	s := &Server{
-		cfg:           cfg,
-		inLen:         c * h * w,
-		defaultBudget: defaultBudget,
-		queue:         make(chan *request, cfg.QueueCap),
-		schedDone:     make(chan struct{}),
-		met:           newMetrics(cfg.Obs, cfg),
+		cfg:       cfg,
+		inLen:     c * h * w,
+		queue:     make(chan *request, cfg.QueueCap),
+		schedDone: make(chan struct{}),
+		met:       newMetrics(cfg.Obs, cfg),
 	}
-	s.model.Store(&activeModel{plan: cfg.Plan, fam: cfg.Family, version: cfg.ModelVersion})
+	s.model.Store(&activeModel{fam: cfg.Family, version: cfg.ModelVersion})
 	s.met.modelEpoch.Set(1)
 	return s, nil
 }
 
-// Budgets returns the server's budget ladder, ascending; nil on a
-// single-plan server.
-func (s *Server) Budgets() []int {
-	if s.cfg.Family == nil {
-		return nil
-	}
-	return s.cfg.Family.Budgets()
-}
+// Budgets returns the server's budget ladder, ascending.
+func (s *Server) Budgets() []int { return s.cfg.Family.Budgets() }
 
 // ModelVersion reports the version label of the model generation
 // currently serving.
@@ -432,39 +375,21 @@ func (s *Server) ModelVersion() string {
 // Swap atomically replaces the served model between micro-batches, then
 // waits (bounded by ctx) for batches still executing inside the retired
 // generation to finish. The replacement must keep the server's shape:
-// same plan-vs-family mode, same input dims, and — because admitted
-// requests carry rungs snapped onto the boot ladder — an identical
-// budget ladder. Requests are never dropped: batches dispatched before
-// the swap complete on the old generation while new batches already run
-// the new one.
-func (s *Server) Swap(ctx context.Context, plan *intinfer.Plan, fam *intinfer.Family, version string) error {
-	if (fam != nil) != (s.cfg.Family != nil) {
-		return errors.New("serve: hot-swap cannot change between single-plan and family serving")
+// the same input dims and — because admitted requests carry rungs
+// snapped onto the boot ladder — an identical budget ladder. Requests
+// are never dropped: batches dispatched before the swap complete on the
+// old generation while new batches already run the new one.
+func (s *Server) Swap(ctx context.Context, fam *intinfer.Family, version string) error {
+	if fam == nil {
+		return errors.New("serve: hot-swap needs a family")
 	}
-	var c, h, w int
-	if fam != nil {
-		old := s.cfg.Family.Budgets()
-		next := fam.Budgets()
-		if len(old) != len(next) {
-			return fmt.Errorf("serve: hot-swap budget ladder has %d rungs, the server was built with %d",
-				len(next), len(old))
-		}
-		for i := range old {
-			if old[i] != next[i] {
-				return fmt.Errorf("serve: hot-swap budget ladder %v does not match the server's %v", next, old)
-			}
-		}
-		c, h, w = fam.InputDims()
-	} else {
-		if plan == nil {
-			return errors.New("serve: hot-swap needs a plan")
-		}
-		c, h, w = plan.InputDims()
+	if old, next := s.cfg.Family.Budgets(), fam.Budgets(); !slices.Equal(old, next) {
+		return fmt.Errorf("serve: hot-swap budget ladder %v does not match the server's %v", next, old)
 	}
-	if c*h*w != s.inLen {
+	if c, h, w := fam.InputDims(); c*h*w != s.inLen {
 		return fmt.Errorf("serve: hot-swap model wants %d input values, the server serves %d", c*h*w, s.inLen)
 	}
-	retired := s.model.Swap(&activeModel{plan: plan, fam: fam, version: version})
+	retired := s.model.Swap(&activeModel{fam: fam, version: version})
 	s.met.modelEpoch.Add(1)
 	start := time.Now()
 	for retired.inflight.Load() != 0 {
@@ -472,7 +397,7 @@ func (s *Server) Swap(ctx context.Context, plan *intinfer.Plan, fam *intinfer.Fa
 		case <-ctx.Done():
 			// The swap itself already happened; only the drain wait is
 			// abandoned. Report it — the caller may still hold resources
-			// (e.g. an arena) behind the retired plan.
+			// (e.g. an arena) behind the retired family.
 			return fmt.Errorf("serve: waiting for the retired model's batches: %w", ctx.Err())
 		case <-time.After(200 * time.Microsecond):
 		}
@@ -492,9 +417,9 @@ func (s *Server) Reload(ctx context.Context) (string, error) {
 		return "", ErrReloadBusy
 	}
 	defer s.reloadMu.Unlock()
-	plan, fam, version, err := s.cfg.Reload(ctx)
+	fam, version, err := s.cfg.Reload(ctx)
 	if err == nil {
-		err = s.Swap(ctx, plan, fam, version)
+		err = s.Swap(ctx, fam, version)
 	}
 	if err != nil {
 		s.met.reloadErr.Inc()
@@ -562,23 +487,18 @@ func (s *Server) Classify(ctx context.Context, img []float32) (Result, error) {
 }
 
 // ClassifyBudget is Classify with a TR group budget hint: 0 takes the
-// server default, anything else is snapped onto the family ladder. On a
-// single-plan server any non-zero hint is ErrNoBudgets. The admitted
-// budget may still be stepped down by the degradation policy; the
-// Result reports what actually ran.
+// top rung, anything else is snapped onto the ladder (on a one-rung
+// ladder, every hint lands on its rung). The admitted budget may still
+// be stepped down by the degradation policy; the Result reports what
+// actually ran.
 func (s *Server) ClassifyBudget(ctx context.Context, img []float32, budget int) (Result, error) {
 	if len(img) != s.inLen {
 		return Result{}, fmt.Errorf("serve: image has %d values, the plan wants %d", len(img), s.inLen)
 	}
-	if budget != 0 && s.cfg.Family == nil {
-		return Result{}, ErrNoBudgets
-	}
-	if s.cfg.Family != nil {
-		if budget == 0 {
-			budget = s.defaultBudget
-		} else {
-			budget = s.cfg.Family.Clamp(budget)
-		}
+	if budget == 0 {
+		budget = s.cfg.Family.MaxBudget()
+	} else {
+		budget = s.cfg.Family.Clamp(budget)
 	}
 	deadline, ok := ctx.Deadline()
 	if !ok {
@@ -617,10 +537,6 @@ func (s *Server) ClassifyBudget(ctx context.Context, img []float32, budget int) 
 // nowhere left to degrade to, and the queue's hard cap still sheds
 // behind them.
 func (s *Server) admissionBudget(budget int) (int, bool) {
-	f := s.cfg.Family
-	if f == nil {
-		return budget, false
-	}
 	depth := s.met.queueDepth.Value() + s.inflight.Load()
 	if s.degrading.Load() {
 		if depth <= int64(s.cfg.DegradeLowWatermark) {
@@ -634,7 +550,7 @@ func (s *Server) admissionBudget(budget int) (int, bool) {
 	if !s.degrading.Load() {
 		return budget, false
 	}
-	lower, ok := f.StepDown(budget)
+	lower, ok := s.cfg.Family.StepDown(budget)
 	if !ok {
 		return budget, false
 	}
@@ -836,7 +752,7 @@ func (s *Server) dispatch(id int, batch []*request) {
 	am := s.model.Load()
 	am.inflight.Add(1)
 	ctx, cancel := context.WithDeadline(context.Background(), latest)
-	preds, err := am.planFor(live[0].budget).InferBatchContext(ctx, images, s.cfg.BatchWorkers)
+	preds, err := am.fam.InferBatchContext(ctx, images, s.cfg.BatchWorkers, live[0].budget)
 	cancel()
 	am.inflight.Add(-1)
 	s.met.inflightBatches.Add(-1)
@@ -861,7 +777,7 @@ func (s *Server) dispatch(id int, batch []*request) {
 			r.done <- response{wait: r.wait, err: context.DeadlineExceeded}
 		default:
 			s.met.ok.Inc()
-			s.met.servedFor(r.budget).Inc()
+			s.met.served[r.budget].Inc()
 			r.done <- response{class: preds[i], batch: len(live), wait: r.wait,
 				budget: r.budget, degraded: r.degraded}
 		}
@@ -914,8 +830,7 @@ type Stats struct {
 	WorkersBusy     int64
 	WorkerBatches   []int64
 	// Degraded counts admissions stepped down a rung; BudgetServed maps
-	// each ladder rung to the requests answered ok at it. Both are zero /
-	// nil on a single-plan server.
+	// each ladder rung to the requests answered ok at it.
 	Degraded     int64
 	BudgetServed map[int]int64
 	// Reloads / ReloadErrors count hot-swap attempts by outcome.
@@ -949,11 +864,9 @@ func (s *Server) Stats() Stats {
 	for _, g := range s.met.workerBusy {
 		st.WorkersBusy += g.Value()
 	}
-	if s.met.served != nil {
-		st.BudgetServed = make(map[int]int64, len(s.met.served))
-		for b, c := range s.met.served {
-			st.BudgetServed[b] = c.Value()
-		}
+	st.BudgetServed = make(map[int]int64, len(s.met.served))
+	for b, c := range s.met.served {
+		st.BudgetServed[b] = c.Value()
 	}
 	return st
 }

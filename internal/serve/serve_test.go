@@ -19,31 +19,52 @@ import (
 	"repro/internal/obs"
 )
 
-// The demo MLP is trained once and shared: plans are safe for
-// concurrent use (the scratch arena is pooled per inference).
+// rung is the budget of the one-rung family newTestServer serves: the
+// paper's operating point, the single-budget server.
+const rung = demoplan.QuantGroupBudget
+
+// The demo MLP is trained once, compiled as a one-rung family, and
+// shared: plans are safe for concurrent use (the scratch arena is
+// pooled per inference).
 var (
-	planOnce   sync.Once
-	testPlanV  *intinfer.Plan
+	rungOnce   sync.Once
+	testRungV  *intinfer.Family
 	testImages [][]float32
-	planErr    error
+	rungErr    error
 )
 
-func testPlan(t *testing.T) (*intinfer.Plan, [][]float32) {
+func testRung(t *testing.T) (*intinfer.Family, [][]float32) {
 	t.Helper()
-	planOnce.Do(func() {
-		testPlanV, testImages, planErr = demoplan.MLP(obs.New())
+	rungOnce.Do(func() {
+		fam, test, err := demoplan.MLPFamily(obs.New(), []int{rung})
+		if err != nil {
+			rungErr = err
+			return
+		}
+		testRungV, testImages = fam, test.Images
 	})
-	if planErr != nil {
-		t.Fatalf("building demo plan: %v", planErr)
+	if rungErr != nil {
+		t.Fatalf("building the one-rung demo family: %v", rungErr)
 	}
-	return testPlanV, testImages
+	return testRungV, testImages
 }
 
+// testPlan returns the plan of newTestServer's one rung, the sequential
+// reference its served answers are held to.
+func testPlan(t *testing.T) (*intinfer.Plan, [][]float32) {
+	t.Helper()
+	fam, images := testRung(t)
+	plan, _ := fam.Plan(rung)
+	return plan, images
+}
+
+// newTestServer serves the one-rung family with one worker, so tests
+// that count batches see one scheduler cut them.
 func newTestServer(t *testing.T, mutate func(*Config)) *Server {
 	t.Helper()
-	plan, _ := testPlan(t)
-	cfg := Config{Plan: plan, MaxBatch: 8, MaxDelay: time.Millisecond,
-		QueueCap: 128, BatchWorkers: 1, DefaultDeadline: 5 * time.Second}
+	fam, _ := testRung(t)
+	cfg := Config{Family: fam, MaxBatch: 8, MaxDelay: time.Millisecond,
+		QueueCap: 128, BatchWorkers: 1, Workers: 1, DefaultDeadline: 5 * time.Second}
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -76,7 +97,7 @@ func TestBatchedServingMatchesSequential(t *testing.T) {
 	reqs := make([]*request, n)
 	deadline := time.Now().Add(5 * time.Second)
 	for i := range reqs {
-		r, err := s.submit(images[i], deadline, 0)
+		r, err := s.submit(images[i], deadline, rung)
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
@@ -156,11 +177,11 @@ func TestQueueFullSheds(t *testing.T) {
 
 	deadline := time.Now().Add(time.Second)
 	for i := 0; i < 2; i++ {
-		if _, err := s.submit(images[0], deadline, 0); err != nil {
+		if _, err := s.submit(images[0], deadline, rung); err != nil {
 			t.Fatalf("admission %d refused: %v", i, err)
 		}
 	}
-	if _, err := s.submit(images[0], deadline, 0); !errors.Is(err, ErrQueueFull) {
+	if _, err := s.submit(images[0], deadline, rung); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("overflow admission returned %v, want ErrQueueFull", err)
 	}
 
@@ -191,11 +212,11 @@ func TestExpiredInQueueGets504WithoutBatchSlot(t *testing.T) {
 	// the short deadline has certainly lapsed.
 	s := newTestServer(t, func(c *Config) { c.MaxDelay = 300 * time.Millisecond })
 
-	expired, err := s.submit(images[0], time.Now().Add(20*time.Millisecond), 0)
+	expired, err := s.submit(images[0], time.Now().Add(20*time.Millisecond), rung)
 	if err != nil {
 		t.Fatal(err)
 	}
-	live, err := s.submit(images[1], time.Now().Add(5*time.Second), 0)
+	live, err := s.submit(images[1], time.Now().Add(5*time.Second), rung)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +255,7 @@ func TestDrainFlushesQueueThenRejects(t *testing.T) {
 			t.Fatal(err)
 		}
 		want[i] = cls
-		if reqs[i], err = s.submit(images[i], deadline, 0); err != nil {
+		if reqs[i], err = s.submit(images[i], deadline, rung); err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 	}
@@ -254,7 +275,7 @@ func TestDrainFlushesQueueThenRejects(t *testing.T) {
 		}
 	}
 
-	if _, err := s.submit(images[0], deadline, 0); !errors.Is(err, ErrDraining) {
+	if _, err := s.submit(images[0], deadline, rung); !errors.Is(err, ErrDraining) {
 		t.Fatalf("post-drain admission returned %v, want ErrDraining", err)
 	}
 	body, err := json.Marshal(classifyRequest{Image: images[0]})

@@ -21,7 +21,7 @@ import (
 // succeed or shed (429-equivalent); a swap must never surface an error
 // or a wrong-length answer.
 func TestSwapUnderLoadDropsNothing(t *testing.T) {
-	plan, images := testPlan(t)
+	fam, images := testRung(t)
 	s := newTestServer(t, func(c *Config) { c.ModelVersion = "v0"; c.Workers = 2 })
 	s.startScheduler()
 	defer s.Drain(context.Background())
@@ -38,10 +38,10 @@ func TestSwapUnderLoadDropsNothing(t *testing.T) {
 				return
 			case <-time.After(2 * time.Millisecond):
 			}
-			// Same compiled plan under a new version label: the swap
+			// Same compiled family under a new version label: the swap
 			// machinery (pointer flip + retired-generation drain) is what
-			// is under test, not plan compilation.
-			if err := s.Swap(context.Background(), plan, nil, fmt.Sprintf("v%d", i)); err != nil {
+			// is under test, not compilation.
+			if err := s.Swap(context.Background(), fam, fmt.Sprintf("v%d", i)); err != nil {
 				swapErr.Store(&err)
 				return
 			}
@@ -98,26 +98,26 @@ func TestSwapUnderLoadDropsNothing(t *testing.T) {
 	}
 }
 
+// TestSwapValidatesShape pins what a hot-swap must keep: the boot
+// ladder, checked in both directions (a one-rung server refuses the
+// three-rung family and the other way round), and a family at all.
 func TestSwapValidatesShape(t *testing.T) {
 	fam, _ := testFamily(t)
-	plan, _ := testPlan(t)
+	one, _ := testRung(t)
 
-	s := newTestServer(t, nil) // single-plan server
-	if err := s.Swap(context.Background(), nil, fam, "v1"); err == nil {
-		t.Fatal("single-plan server accepted a family swap")
+	s := newTestServer(t, nil) // one rung
+	if err := s.Swap(context.Background(), fam, "v1"); err == nil {
+		t.Fatal("one-rung server accepted a three-rung family")
 	}
-	if err := s.Swap(context.Background(), nil, nil, "v1"); err == nil {
-		t.Fatal("accepted a swap with neither plan nor family")
+	if err := s.Swap(context.Background(), nil, "v1"); err == nil {
+		t.Fatal("accepted a swap without a family")
 	}
 
-	fs, err := New(Config{Family: fam, MaxBatch: 8, MaxDelay: time.Millisecond, QueueCap: 32})
-	if err != nil {
-		t.Fatal(err)
+	fs := newFamilyServer(t, nil) // three rungs
+	if err := fs.Swap(context.Background(), one, "v1"); err == nil {
+		t.Fatal("three-rung server accepted a one-rung family")
 	}
-	if err := fs.Swap(context.Background(), plan, nil, "v1"); err == nil {
-		t.Fatal("family server accepted a single-plan swap")
-	}
-	if err := fs.Swap(context.Background(), nil, fam, "v1"); err != nil {
+	if err := fs.Swap(context.Background(), fam, "v1"); err != nil {
 		t.Fatalf("ladder-identical family swap refused: %v", err)
 	}
 	if got := fs.ModelVersion(); got != "v1" {
@@ -126,13 +126,13 @@ func TestSwapValidatesShape(t *testing.T) {
 }
 
 func TestReloadEndpoint(t *testing.T) {
-	plan, images := testPlan(t)
+	fam, images := testRung(t)
 	var builds atomic.Int64
 	s := newTestServer(t, func(c *Config) {
 		c.ModelVersion = "boot"
-		c.Reload = func(ctx context.Context) (*intinfer.Plan, *intinfer.Family, string, error) {
+		c.Reload = func(ctx context.Context) (*intinfer.Family, string, error) {
 			builds.Add(1)
-			return plan, nil, fmt.Sprintf("r%d", builds.Load()), nil
+			return fam, fmt.Sprintf("r%d", builds.Load()), nil
 		}
 	})
 	s.startScheduler()
@@ -218,14 +218,14 @@ func TestReloadWithoutSourceIs501(t *testing.T) {
 }
 
 func TestReloadSerializes(t *testing.T) {
-	plan, _ := testPlan(t)
+	fam, _ := testRung(t)
 	release := make(chan struct{})
 	started := make(chan struct{})
 	s := newTestServer(t, func(c *Config) {
-		c.Reload = func(ctx context.Context) (*intinfer.Plan, *intinfer.Family, string, error) {
+		c.Reload = func(ctx context.Context) (*intinfer.Family, string, error) {
 			close(started)
 			<-release
-			return plan, nil, "slow", nil
+			return fam, "slow", nil
 		}
 	})
 	s.startScheduler()

@@ -10,17 +10,18 @@ import (
 	"time"
 )
 
-// TestWorkersDefaulting pins the Config.Workers contract: zero keeps
-// the deterministic single-worker scheduler, negative resolves to
-// GOMAXPROCS, positive is taken as given.
+// TestWorkersDefaulting pins the Config.Workers contract, the one
+// BatchWorkers has: below one (zero included) resolves to GOMAXPROCS,
+// positive is taken as given.
 func TestWorkersDefaulting(t *testing.T) {
-	plan, _ := testPlan(t)
+	fam, _ := testRung(t)
 	for _, tc := range []struct{ in, want int }{
-		{0, 1},
+		{0, runtime.GOMAXPROCS(0)},
 		{-1, runtime.GOMAXPROCS(0)},
+		{1, 1},
 		{3, 3},
 	} {
-		s, err := New(Config{Plan: plan, Workers: tc.in})
+		s, err := New(Config{Family: fam, Workers: tc.in})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,7 +186,7 @@ func TestDrainJoinsAllWorkersMidBatch(t *testing.T) {
 		if i%3 == 0 {
 			d = expired
 		}
-		r, err := s.submit(images[i%len(images)], d, 0)
+		r, err := s.submit(images[i%len(images)], d, rung)
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
@@ -193,7 +194,7 @@ func TestDrainJoinsAllWorkersMidBatch(t *testing.T) {
 	}
 	var shed int64
 	for i := 0; i < 2; i++ {
-		if _, err := s.submit(images[0], deadline, 0); !errors.Is(err, ErrQueueFull) {
+		if _, err := s.submit(images[0], deadline, rung); !errors.Is(err, ErrQueueFull) {
 			t.Fatalf("overflow admission returned %v, want ErrQueueFull", err)
 		}
 		shed++
