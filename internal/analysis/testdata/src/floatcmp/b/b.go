@@ -23,3 +23,16 @@ func good(x, y float64) bool {
 	legacy := x == y //trlint:checked fixture: the suppression directive is honoured
 	return legacy
 }
+
+const roundMagic = 1.5 * (1 << 52)
+
+// Rounds the compiler cannot fuse: the product is converted, so it is
+// rounded before the magic add; a sum, a bare value or another constant
+// has no product to fuse.
+func rounds(x, m, bias float64, acc int32) (float64, float64, float64, float64) {
+	a := float64(x*m) + roundMagic - roundMagic
+	b := float64(float64(acc)*m) + roundMagic - roundMagic
+	c := (x+bias)*m + 0.5
+	d := x + roundMagic - roundMagic
+	return a, b, c, d
+}

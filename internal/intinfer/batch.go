@@ -227,23 +227,33 @@ func (p *Plan) runChunk(images [][]float32, preds []int, s *scratch) error {
 
 // chunkCodes quantizes a chunk and executes the step chain over it,
 // returning the final codes batch-innermost (owned by the scratch
-// arena). The quantizer writes the chunk's k×b offset-u8 matrix, which
-// a leading linear takes as its B operand directly; any other first
-// step gets the codes widened.
+// arena). The quantizer writes image j as column j of the chunk's k×b
+// offset-u8 matrix (element e at e·b + j), which a leading linear takes
+// as its B operand directly; any other first step gets the codes
+// widened.
 func (p *Plan) chunkCodes(images [][]float32, s *scratch) (activation, error) {
 	b := len(images)
 	p.pm.infers.Add(int64(b))
-	n := p.inC * p.inH * p.inW
-	act := activation{u8: s.u8[:n*b], c: p.inC, h: p.inH, w: p.inW}
-	quantizeColumns(act.u8, images, 1/float64(p.inScale))
+	u8 := s.u8[:p.inC*p.inH*p.inW*b]
+	inv := 1 / float64(p.inScale)
+	for j, img := range images {
+		kernels.QuantizeU8(u8[j:], img, b, inv)
+	}
+	act := activation{u8: u8, c: p.inC, h: p.inH, w: p.inW}
 	if !p.linearFirst() {
-		act.data = s.get(n * b)
-		for i, v := range act.u8 {
-			act.data[i] = int32(v) - 128
-		}
-		act.u8 = nil
+		act = p.widen(u8, s)
 	}
 	return p.runSteps(act, b, s)
+}
+
+// widen turns the quantizer's offset-u8 codes into the chain's first
+// int32 activation, of the plan's input shape.
+func (p *Plan) widen(u8 []uint8, s *scratch) activation {
+	act := activation{data: s.get(len(u8)), c: p.inC, h: p.inH, w: p.inW}
+	for i, v := range u8 {
+		act.data[i] = int32(v) - 128
+	}
+	return act
 }
 
 // linearFirst reports whether the plan's first step past any flattens
@@ -255,48 +265,6 @@ func (p *Plan) linearFirst() bool {
 		}
 	}
 	return false
-}
-
-// quantize is the input quantizer's scalar step, shared by run and
-// quantizeColumns: the value times the reciprocal scale, rounded with
-// the 2^52 magic constant (see roundMagic) and clamped to the code
-// window. ±Inf saturates like any out-of-range value; NaN fails both
-// clamps and is mapped to code 0 explicitly rather than left to
-// int32(NaN), whose value Go leaves implementation-defined.
-func quantize(v float32, inv float64) int32 {
-	c := float64(v)*inv + roundMagic - roundMagic
-	if c >= -127 && c <= 127 {
-		return int32(c)
-	}
-	if c > 127 {
-		return 127
-	}
-	if c < -127 {
-		return -127
-	}
-	return 0 // NaN
-}
-
-// quantizeColumns is the batched input quantizer: image j becomes
-// column j of the k×b offset-u8 matrix dst — element e of image j at
-// e·b + j, the chunk's batch-innermost layout — through quantize, with
-// the +128 offset folded into the store.
-//
-// The loop is about half of an MLP chunk's CPU and sensitive to its
-// placement: inline in the chunk driver, a 136-byte shift of the code
-// above it made BenchmarkIntegerInferenceMLP 4–10% slower with the
-// loop's instructions unchanged. Out of line it is placed by its own
-// code alone, and its index stays in a register.
-//
-//go:noinline
-func quantizeColumns(dst []uint8, images [][]float32, inv float64) {
-	b := len(images)
-	for j, img := range images {
-		col := dst[j:]
-		for i, v := range img {
-			col[i*b] = uint8(quantize(v, inv) + 128) //trlint:checked quantize returns a code in [-127, 127]
-		}
-	}
 }
 
 // gemm8Batch runs one batched linear: PackBBlocked lays the k×b

@@ -2,6 +2,8 @@ package intinfer
 
 import (
 	"context"
+	"math"
+	"math/rand"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -10,8 +12,10 @@ import (
 	"repro/internal/kernels"
 	"repro/internal/kernels/autotune"
 	"repro/internal/models"
+	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/qsim"
+	"repro/internal/tensor"
 )
 
 // buildLinear8 builds an MLP plan and asserts it was admitted to the
@@ -319,6 +323,71 @@ func TestAutotuneWarmCacheDeterminism(t *testing.T) {
 		}
 		if st.tile.NR != 0 || st.tile.KC != 0 {
 			t.Errorf("conv %s: pick %v tunes packing knobs", st.name, st.tile)
+		}
+	}
+}
+
+// TestOddInputLengthMatchesClassify runs plans whose input length, 143
+// (1×11×13), is not a multiple of the quantizer's eight-pixel step, so
+// every image ends in the scalar tail: a linear-first plan, whose chunk
+// takes the quantizer's offset-u8 matrix as its B operand, and a
+// conv-first plan, whose chunk widens it. Every batch size from 2 to 64
+// through InferBatch must equal Classify image by image, and each chunk
+// must equal the per-image lane code for code. A few pixels are NaN,
+// ±Inf or exact half-steps of the input scale.
+func TestOddInputLengthMatchesClassify(t *testing.T) {
+	const inC, inH, inW, classes = 1, 11, 13, 5
+	rng := rand.New(rand.NewSource(24))
+	linear := &models.ImageModel{Name: "odd-mlp", InC: inC, InH: inH, InW: inW, Classes: classes,
+		Net: nn.NewSequential("odd-mlp", nn.NewFlatten("flatten"),
+			nn.NewLinear("fc1", inC*inH*inW, 24, rng), nn.NewReLU("relu1"),
+			nn.NewLinear("fc2", 24, classes, rng))}
+	conv := &models.ImageModel{Name: "odd-cnn", InC: inC, InH: inH, InW: inW, Classes: classes,
+		Net: nn.NewSequential("odd-cnn",
+			nn.NewConv2D("conv", tensor.ConvGeom{InC: inC, InH: inH, InW: inW,
+				KH: 3, KW: 3, Stride: 1, Pad: 1, OutC: 8}, true, rng),
+			nn.NewReLU("relu1"), nn.NewGlobalAvgPool2D("gap"),
+			nn.NewLinear("fc", 8, classes, rng))}
+	ds := datasets.ImageClasses(96, classes, inC, inH, inW, 25)
+	for _, tc := range []struct {
+		m           *models.ImageModel
+		linearFirst bool
+	}{{linear, true}, {conv, false}} {
+		p, err := Build(tc.m, Options{Calibration: ds.Images[:16]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.chunk < 64 || p.linearFirst() != tc.linearFirst {
+			t.Fatalf("%s: chunk %d, linear first %v; want the batched lane at 64, linear first %v",
+				tc.m.Name, p.chunk, p.linearFirst(), tc.linearFirst)
+		}
+		images := make([][]float32, 64)
+		for i := range images {
+			images[i] = append([]float32(nil), ds.Images[16+i]...)
+		}
+		s := float64(p.inScale)
+		special := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)),
+			float32(2.5 * s), float32(-3.5 * s), float32(0.5 * s)}
+		for i, img := range images {
+			img[len(img)-1-i%8] = special[i%len(special)]
+		}
+		want := make([]int, len(images))
+		for i, img := range images {
+			if want[i], err = p.Classify(img); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for b := 2; b <= len(images); b++ {
+			got, err := p.InferBatch(images[:b])
+			if err != nil {
+				t.Fatalf("%s b=%d: %v", tc.m.Name, b, err)
+			}
+			for i, g := range got {
+				if g != want[i] {
+					t.Fatalf("%s b=%d image %d: batched %d, Classify %d", tc.m.Name, b, i, g, want[i])
+				}
+			}
+			assertChunkCodes(t, p, images[:b], tc.m.Name)
 		}
 	}
 }
